@@ -59,7 +59,6 @@ func main() {
 	prefetch := flag.Bool("prefetch", false, "enable the L2 stride prefetcher")
 	rrip := flag.Bool("rrip", false, "use fit-RRIP NVM replacement instead of fit-LRU")
 	checkEvery := flag.Uint64("checkevery", 0, "run the invariant checker every N LLC accesses (0 disables)")
-	shards := flag.Int("shards", 1, "set shards; >1 runs the parallel engine (bit-identical for any count)")
 	coloring := flag.String("coloring", "", `set coloring: "xor:mask=N", "rotate:interval=N,step=N", "wear:interval=N,pairs=N" or "off"`)
 	flag.Parse()
 
@@ -76,10 +75,6 @@ func main() {
 
 	// Explicitly set flags win over the config file; with no -config this
 	// reduces to the classic flags-over-defaults behaviour.
-	shardCount := cfg.Shards
-	if shardCount < 1 {
-		shardCount = 1
-	}
 	coloringSet := false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -115,8 +110,6 @@ func main() {
 			cfg.NVMRRIP = *rrip
 		case "checkevery":
 			cfg.CheckEvery = *checkEvery
-		case "shards":
-			shardCount = *shards
 		case "coloring":
 			coloringSet = true
 		}
@@ -128,11 +121,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	if err := cliutil.ApplyShards(&cfg, shardCount, cliutil.ShardIncompat{
-		When: *tracePrefix != "",
-		Flag: "-trace",
-		Why:  "replays through the sequential engine; run trace-driven studies with -shards 1",
-	}); err != nil {
+	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
 
@@ -150,7 +139,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer h.Close()
 
 	if *capacity < 1 {
 		h.PreAge(*capacity)

@@ -46,7 +46,6 @@ func main() {
 	phase := flag.Uint64("phase", 10_000_000, "measured cycles per forecast phase")
 	warm := flag.Uint64("warmup", 2_000_000, "warm-up cycles per phase")
 	step := flag.Float64("step", 0.05, "capacity drop per prediction phase")
-	shards := flag.Int("shards", 1, "set shards; >1 runs each cell on the parallel engine (bit-identical for any count)")
 	quick := flag.Bool("quick", false, "CI smoke preset: small cache, short phases, accelerated endurance, mix 1 only")
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit JSON")
@@ -88,7 +87,7 @@ func main() {
 		}
 		cfg.Tournament = tc
 	}
-	if err := cliutil.ApplyShards(&cfg, *shards); err != nil {
+	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
 

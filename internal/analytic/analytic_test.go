@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -49,33 +50,42 @@ func TestCalibrateDeterminism(t *testing.T) {
 	}
 }
 
-// TestCalibrateShardEquivalence pins the planner's cache-key contract:
-// the set-sharded engine is bit-identical across shard counts, so every
-// sharded calibration of the same spec is byte-for-byte the same and
-// shares one content address.
+// TestCalibrateShardEquivalence pins the cache-key contract for the
+// shard counts that still validate: 0 and 1 both select the sequential
+// simulation, so their calibrations are byte-for-byte the same and share
+// one content address.
 func TestCalibrateShardEquivalence(t *testing.T) {
-	spec2 := quickSpec()
-	spec2.Config.Shards = 2
-	spec4 := quickSpec()
-	spec4.Config.Shards = 4
+	spec0 := quickSpec()
+	spec1 := quickSpec()
+	spec1.Config.Shards = 1
 
-	a, err := Calibrate(context.Background(), spec2)
+	a, err := Calibrate(context.Background(), spec0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Calibrate(context.Background(), spec4)
+	b, err := Calibrate(context.Background(), spec1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("shard counts disagree:\n2: %+v\n4: %+v", a, b)
+		t.Fatalf("shard counts disagree:\n0: %+v\n1: %+v", a, b)
 	}
-	if spec2.CacheKey() != spec4.CacheKey() {
-		t.Fatal("sharded specs differing only in shard count must share a cache key")
+	if spec0.CacheKey() != spec1.CacheKey() {
+		t.Fatal("specs differing only in shards 0 vs 1 must share a cache key")
 	}
-	seq := quickSpec()
-	if seq.CacheKey() == spec2.CacheKey() {
-		t.Fatal("sequential and sharded engines must not share a cache key")
+}
+
+// TestCalibrateRejectsRetiredShards pins that a spec asking for the
+// retired set-sharded engine fails validation before any simulation
+// runs, instead of silently calibrating on the sequential path.
+func TestCalibrateRejectsRetiredShards(t *testing.T) {
+	spec := quickSpec()
+	spec.Config.Shards = 2
+	if err := spec.Validate(); !errors.Is(err, core.ErrShardsRetired) {
+		t.Fatalf("Validate error %v, want core.ErrShardsRetired", err)
+	}
+	if cal, err := Calibrate(context.Background(), spec); !errors.Is(err, core.ErrShardsRetired) {
+		t.Fatalf("Calibrate = %+v, %v; want core.ErrShardsRetired", cal, err)
 	}
 }
 

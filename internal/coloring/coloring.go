@@ -7,12 +7,9 @@
 //
 // A scheme maps the logical set index (block mod sets) to the physical
 // directory/frame row. The mapping only changes inside Epoch, which the
-// owner calls exactly once per epoch boundary: the sequential LLC from
-// its own EndEpoch, the shard router once at the quiescent epoch
-// barrier (so shards=N stays bit-identical to shards=1 — the remap is
-// a global, deterministic event ordered against every access stream).
-// When Epoch reports a change the owner must flush its directory, since
-// resident blocks' rows moved under them.
+// owner (the LLC, from its own EndEpoch) calls exactly once per epoch
+// boundary. When Epoch reports a change the owner must flush its
+// directory, since resident blocks' rows moved under them.
 //
 // All schemes are deterministic: the wear-feedback scheme breaks wear
 // ties by row index and consumes no randomness, so a fixed seed yields

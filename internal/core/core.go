@@ -92,10 +92,9 @@ type Config struct {
 	// Coloring selects inter-set wear-leveling (cache coloring): a
 	// bijective logical-set→physical-row remap applied to every LLC
 	// lookup, with rotation/wear-feedback schemes advancing at epoch
-	// boundaries (at the shard router's barrier under sharding, so any
-	// shard count stays bit-identical). nil disables coloring; the
-	// pointer is omitted from the canonical form when nil, so
-	// pre-coloring cache keys and golden configs are unchanged.
+	// boundaries. nil disables coloring; the pointer is omitted from the
+	// canonical form when nil, so pre-coloring cache keys and golden
+	// configs are unchanged.
 	Coloring *ColoringConfig `json:"coloring,omitempty"`
 
 	// LLCBanks is the number of address-interleaved LLC banks whose
@@ -110,14 +109,10 @@ type Config struct {
 	// accumulate on the checker, reachable via hier.System.AccessProbe.
 	CheckEvery uint64 `json:"check_every"`
 
-	// Shards selects the set-sharded parallel engine (internal/shard):
-	// the LLC's sets are split into this many contiguous shards applied
-	// by worker goroutines, bit-identical to Shards=1 by construction.
-	// 0 or 1 builds the engine single-sharded (inline, no goroutines).
-	// Only BuildEngine, MeasureEngine, BuildForecastTarget and
-	// NewRunHandle honor it; Build always constructs the classic
-	// sequential system. Shards > 1 is incompatible with
-	// EnablePrefetcher and CheckEvery.
+	// Shards is the retired set-sharded engine's shard count. The field
+	// stays in the wire format so journals and configs written while the
+	// engine existed still decode strictly; every simulation runs the
+	// sequential path, so only 0 and 1 validate (see ErrShardsRetired).
 	Shards int `json:"shards"`
 }
 

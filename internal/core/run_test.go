@@ -63,7 +63,6 @@ func TestMeasureCtxMatchesMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
 	got, err := h.MeasureCtx(context.Background(), warmup, measure, RunHooks{})
 	if err != nil {
 		t.Fatal(err)
@@ -71,32 +70,39 @@ func TestMeasureCtxMatchesMeasure(t *testing.T) {
 	summariesBitIdentical(t, want, got)
 }
 
-// TestMeasureCtxShardedMatches runs the same check through the sharded
-// engine handle: the chunked MeasureCtx must reproduce the one-shot
-// MeasureEngine bit for bit. (The engine is its own reference — its
-// router answers front-end accesses as misses, so engine timing is
-// deliberately a different, N-invariant model from the sequential
-// system's; PR 4's equivalence holds across shard counts, not across
-// engine kinds.)
+// TestRetiredShardsRejected pins the retirement of the set-sharded
+// engine: a shard count above 1 fails validation with ErrShardsRetired,
+// so old journal entries asking for it fail cleanly.
+func TestRetiredShardsRejected(t *testing.T) {
+	for _, n := range []int{2, 4} {
+		cfg := QuickConfig()
+		cfg.Shards = n
+		if err := cfg.Validate(); !errors.Is(err, ErrShardsRetired) {
+			t.Errorf("shards=%d: Validate error %v, want ErrShardsRetired", n, err)
+		}
+		if _, err := cfg.NewRunHandle(); !errors.Is(err, ErrShardsRetired) {
+			t.Errorf("shards=%d: NewRunHandle error %v, want ErrShardsRetired", n, err)
+		}
+	}
+}
+
+// TestMeasureCtxShardedMatches pins that shards=1 — the single-shard
+// value configs from the set-sharded engine's era could carry — runs the
+// sequential simulation: its chunked MeasureCtx reproduces the one-shot
+// Measure of the shards=0 build bit for bit.
 func TestMeasureCtxShardedMatches(t *testing.T) {
 	const warmup, measure = 300_000, 1_100_000
-	cfg := QuickConfig()
-	cfg.Shards = 2
-
-	e, err := cfg.BuildEngine()
+	sys, err := QuickConfig().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MeasureEngine(e, warmup, measure)
-	e.Close()
+	want := Measure(sys, warmup, measure)
 
+	cfg := QuickConfig()
+	cfg.Shards = 1
 	h, err := cfg.NewRunHandle()
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer h.Close()
-	if !h.Sharded() {
-		t.Fatal("expected the sharded engine")
 	}
 	got, err := h.MeasureCtx(context.Background(), warmup, measure, RunHooks{})
 	if err != nil {
@@ -111,7 +117,6 @@ func TestMeasureCtxHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
 
 	var epochs []int
 	var lastDone, lastTotal uint64
@@ -147,7 +152,6 @@ func TestMeasureCtxCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
 
 	var cps []Checkpoint
 	delivered := 0
@@ -183,7 +187,6 @@ func TestMeasureCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	fired := 0

@@ -30,6 +30,12 @@ const (
 	MaxLLCBanks         = 1024
 )
 
+// ErrShardsRetired is the validation error for a config that asks for
+// more than one set shard. The set-sharded engine answered every LLC
+// access as a miss, so its IPC did not respond to the insertion policy,
+// and it was slower per access than the sequential path; it was removed.
+var ErrShardsRetired = errors.New("the set-sharded engine is retired; every simulation runs the sequential path (shards must be 0 or 1)")
+
 // Validate reports every configuration error at once (errors.Join), so a
 // CLI user fixing a config sees the full list rather than one complaint
 // per run. Build calls it before constructing anything; the command-line
@@ -106,15 +112,7 @@ func (c Config) Validate() error {
 		bad("negative shard count %d", c.Shards)
 	}
 	if c.Shards > 1 {
-		if c.Shards > c.LLCSets {
-			bad("%d shards exceed %d LLC sets", c.Shards, c.LLCSets)
-		}
-		if c.EnablePrefetcher {
-			bad("%d shards incompatible with the L2 prefetcher (prefetch tags need sequential LLC answers)", c.Shards)
-		}
-		if c.CheckEvery > 0 {
-			bad("%d shards incompatible with CheckEvery (the invariant checker probes the sequential LLC)", c.Shards)
-		}
+		errs = append(errs, fmt.Errorf("core: shards %d: %w", c.Shards, ErrShardsRetired))
 	}
 	return errors.Join(errs...)
 }

@@ -9,8 +9,7 @@ import (
 // dueling path: a 2-candidate tournament whose candidates carry the same
 // CPth values must be bit-exact with NewWithCandidates on the same event
 // stream — same per-set thresholds after every epoch, same winner
-// history — both sequentially and with the stream sharded by set and
-// folded through MergeFrom/AdoptWinner.
+// history.
 
 // lcg is a tiny deterministic generator so the vote stream is fixed.
 type lcg uint64
@@ -62,58 +61,58 @@ func TestTwoCandidateTournamentMatchesLegacySequential(t *testing.T) {
 	}
 }
 
+// TestTwoCandidateTournamentMatchesLegacySharded feeds the tournament
+// each epoch's events regrouped into contiguous set ranges (shards, in
+// ascending order) while the legacy controller sees them interleaved.
+// A decision depends only on the epoch's per-candidate sums, so the
+// reordering must be invisible: same per-set thresholds after every
+// epoch, same winner history.
 func TestTwoCandidateTournamentMatchesLegacySharded(t *testing.T) {
 	const sets = 128
-	newTourn := func() *Controller {
-		return NewTournament(sets, []Candidate{
+	type event struct{ set, bytes int } // bytes < 0 marks a hit
+	for _, shards := range []int{1, 2, 3, 8} {
+		tourn := NewTournament(sets, []Candidate{
 			{Name: "CA_RWR@44", CPth: 44, Payload: 0},
 			{Name: "CA_RWR@58", CPth: 58, Payload: 1},
 		}, 0, 4, 5)
-	}
-	for _, shards := range []int{1, 2, 3, 8} {
-		global := newTourn()
-		locals := make([]*Controller, shards)
-		for i := range locals {
-			locals[i] = newTourn()
-		}
 		ref := NewWithCandidates(sets, []int{44, 58}, 4, 5)
 		shardOf := func(set int) int { return set * shards / sets }
 
 		rng := lcg(9)
 		for epoch := 0; epoch < 12; epoch++ {
+			byShard := make([][]event, shards)
 			for i := 0; i < 4000; i++ {
 				set := int(rng.next() % sets)
-				l := locals[shardOf(set)]
-				switch rng.next() % 3 {
-				case 0:
+				ev := event{set: set, bytes: -1}
+				if rng.next()%3 != 0 {
+					ev.bytes = int(rng.next() % 80)
+				}
+				if ev.bytes < 0 {
 					ref.RecordHit(set)
-					l.RecordHit(set)
-				default:
-					n := int(rng.next() % 80)
-					ref.RecordNVMBytes(set, n)
-					l.RecordNVMBytes(set, n)
+				} else {
+					ref.RecordNVMBytes(set, ev.bytes)
+				}
+				byShard[shardOf(set)] = append(byShard[shardOf(set)], ev)
+			}
+			for _, evs := range byShard {
+				for _, ev := range evs {
+					if ev.bytes < 0 {
+						tourn.RecordHit(ev.set)
+					} else {
+						tourn.RecordNVMBytes(ev.set, ev.bytes)
+					}
 				}
 			}
-			// Epoch barrier: merge in ascending shard order, close the
-			// global epoch, adopt the winner everywhere.
-			for _, l := range locals {
-				global.MergeFrom(l)
-			}
 			ref.EndEpoch()
-			global.EndEpoch()
-			for _, l := range locals {
-				l.AdoptWinner(global)
-			}
-			// Every shard's view of every owned set must match the
-			// sequential legacy controller.
+			tourn.EndEpoch()
 			for s := 0; s < sets; s++ {
-				if got, want := locals[shardOf(s)].CPthFor(s), ref.CPthFor(s); got != want {
+				if got, want := tourn.CPthFor(s), ref.CPthFor(s); got != want {
 					t.Fatalf("shards=%d epoch %d set %d: CPth %d, want %d", shards, epoch, s, got, want)
 				}
 			}
 		}
-		if !reflect.DeepEqual(global.History, ref.History) {
-			t.Fatalf("shards=%d: history diverged:\nref   %v\ntourn %v", shards, ref.History, global.History)
+		if !reflect.DeepEqual(tourn.History, ref.History) {
+			t.Fatalf("shards=%d: history diverged:\nref   %v\ntourn %v", shards, ref.History, tourn.History)
 		}
 	}
 }

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// N-way tournament counterpart of merge_test.go: opaque candidates
-// (several sharing one CPth, distinguished only by index/payload) are
-// voted on across shard controllers, merged at the barrier, and must
-// select exactly the winner a sequential controller picks from the
-// combined stream — under max-hits, its tie-break, and the Th/Tw rule.
+// N-way tournament winner selection: opaque candidates (several sharing
+// one CPth, distinguished only by index/payload) voted on through their
+// sampler sets must select the expected winner — under max-hits, its
+// tie-break, and the Th/Tw rule.
 
 func policyCands() []Candidate {
 	return []Candidate{
@@ -20,7 +19,7 @@ func policyCands() []Candidate {
 	}
 }
 
-func TestTournamentMergeMatchesSequential(t *testing.T) {
+func TestTournamentWinnerSelection(t *testing.T) {
 	cases := []struct {
 		name    string
 		th, tw  float64
@@ -59,48 +58,130 @@ func TestTournamentMergeMatchesSequential(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, shards := range []int{1, 2, 3, 8} {
+		c := NewTournament(96, policyCands(), 0, tc.th, tc.tw)
+		// Set k samples candidate k (k < #cands of every 32-set class).
+		vote(c, tc.hits, tc.bytes)
+		if h, b := c.OpenVoteTotals(); h != sum(tc.hits) || b != sum(tc.bytes) {
+			t.Errorf("%s: open totals (%d, %d), want (%d, %d)", tc.name, h, b, sum(tc.hits), sum(tc.bytes))
+		}
+		c.EndEpoch()
+		if got := c.WinnerIndex(); got != tc.wantIdx {
+			t.Errorf("%s: winner index %d, want %d", tc.name, got, tc.wantIdx)
+		}
+		if !reflect.DeepEqual(c.IdxHistory, []int{tc.wantIdx}) {
+			t.Errorf("%s: idx history %v, want [%d]", tc.name, c.IdxHistory, tc.wantIdx)
+		}
+		// Follower sets resolve to the winner; set 95 is a follower
+		// (95 % 32 = 31 > #cands).
+		if got := c.CandidateFor(95); got != tc.wantIdx {
+			t.Errorf("%s: follower candidate %d, want %d", tc.name, got, tc.wantIdx)
+		}
+		if h, b := c.OpenVoteTotals(); h != 0 || b != 0 {
+			t.Errorf("%s: EndEpoch left open votes (%d hits, %d bytes)", tc.name, h, b)
+		}
+	}
+}
+
+// TestTournamentMergeMatchesSequential pins that a candidate's votes are
+// merged across all of its sampler sets: the same per-candidate totals
+// dealt round-robin over the first n sampler sets of each candidate must
+// select exactly the winner a controller fed the totals in one step
+// (AddVotes) selects, under every selection rule of the table above.
+func TestTournamentMergeMatchesSequential(t *testing.T) {
+	cases := []struct {
+		name   string
+		th, tw float64
+		hits   []uint64
+		bytes  []uint64
+	}{
+		{name: "plain max hits", hits: []uint64{5, 17, 9, 3}, bytes: []uint64{100, 100, 100, 100}},
+		{name: "tie", hits: []uint64{7, 12, 12, 4}, bytes: []uint64{0, 0, 0, 0}},
+		{name: "Th trade", th: 10, tw: 20, hits: []uint64{95, 80, 100, 60}, bytes: []uint64{500, 900, 1000, 400}},
+		{name: "Th fallback", th: 4, tw: 5, hits: []uint64{50, 60, 100, 70}, bytes: []uint64{990, 980, 1000, 995}},
+	}
+	for _, tc := range cases {
+		for _, n := range []int{1, 2, 3} {
 			seq := NewTournament(96, policyCands(), 0, tc.th, tc.tw)
 			seq.AddVotes(tc.hits, tc.bytes)
 			seq.EndEpoch()
 
-			global := NewTournament(96, policyCands(), 0, tc.th, tc.tw)
-			locals := make([]*Controller, shards)
-			hParts := splitVotes(tc.hits, shards)
-			bParts := splitVotes(tc.bytes, shards)
-			for i := range locals {
-				locals[i] = NewTournament(96, policyCands(), 0, tc.th, tc.tw)
-				locals[i].AddVotes(hParts[i], bParts[i])
+			merged := NewTournament(96, policyCands(), 0, tc.th, tc.tw)
+			samplers := make([][]int, len(tc.hits))
+			for set := 0; set < 96; set++ {
+				if k, ok := merged.IsSampler(set); ok && len(samplers[k]) < n {
+					samplers[k] = append(samplers[k], set)
+				}
 			}
-			for _, l := range locals {
-				global.MergeFrom(l)
+			hParts, bParts := splitVotes(tc.hits, n), splitVotes(tc.bytes, n)
+			for k, sets := range samplers {
+				if len(sets) != n {
+					t.Fatalf("candidate %d has %d sampler sets, want >= %d", k, len(sets), n)
+				}
+				for i, set := range sets {
+					for j := uint64(0); j < hParts[i][k]; j++ {
+						merged.RecordHit(set)
+					}
+					merged.RecordNVMBytes(set, int(bParts[i][k]))
+				}
 			}
-			global.EndEpoch()
-			for _, l := range locals {
-				l.AdoptWinner(global)
+			if h, b := merged.OpenVoteTotals(); h != sum(tc.hits) || b != sum(tc.bytes) {
+				t.Errorf("%s/%d sets: open totals (%d, %d), want (%d, %d)", tc.name, n, h, b, sum(tc.hits), sum(tc.bytes))
 			}
+			merged.EndEpoch()
 
-			if got := global.WinnerIndex(); got != tc.wantIdx {
-				t.Errorf("%s/%d shards: merged winner index %d, want %d", tc.name, shards, got, tc.wantIdx)
+			if got, want := merged.WinnerIndex(), seq.WinnerIndex(); got != want {
+				t.Errorf("%s/%d sets: merged winner %d != sequential %d", tc.name, n, got, want)
 			}
-			if got, want := global.WinnerIndex(), seq.WinnerIndex(); got != want {
-				t.Errorf("%s/%d shards: merged winner %d != sequential %d", tc.name, shards, got, want)
+			if !reflect.DeepEqual(merged.IdxHistory, seq.IdxHistory) {
+				t.Errorf("%s/%d sets: idx history %v != sequential %v", tc.name, n, merged.IdxHistory, seq.IdxHistory)
 			}
-			if !reflect.DeepEqual(global.IdxHistory, seq.IdxHistory) {
-				t.Errorf("%s/%d shards: idx history %v != sequential %v", tc.name, shards, global.IdxHistory, seq.IdxHistory)
-			}
-			for i, l := range locals {
-				// Follower sets everywhere must resolve to the global
-				// winner; set 95 is a follower (95 % 32 = 31 > #cands).
-				if got, want := l.CandidateFor(95), seq.CandidateFor(95); got != want {
-					t.Errorf("%s/%d shards: shard %d follower candidate %d, want %d", tc.name, shards, i, got, want)
-				}
-				if h, b := l.OpenVoteTotals(); h != 0 || b != 0 {
-					t.Errorf("%s/%d shards: shard %d retains open votes (%d hits, %d bytes)", tc.name, shards, i, h, b)
-				}
+			if got, want := merged.CandidateFor(95), seq.CandidateFor(95); got != want {
+				t.Errorf("%s/%d sets: follower candidate %d, want %d", tc.name, n, got, want)
 			}
 		}
 	}
+}
+
+// splitVotes deals per-candidate totals across n partial vote vectors
+// round-robin, so every part sees a different partial view.
+func splitVotes(total []uint64, n int) [][]uint64 {
+	parts := make([][]uint64, n)
+	for i := range parts {
+		parts[i] = make([]uint64, len(total))
+	}
+	for c, t := range total {
+		for i := uint64(0); i < t; i++ {
+			parts[i%uint64(n)][c]++
+		}
+	}
+	return parts
+}
+
+func TestAddVotesArityPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddVotes accepted mismatched vote vector lengths")
+		}
+	}()
+	NewWithCandidates(64, []int{30, 64}, 0, 0).AddVotes([]uint64{1}, []uint64{1})
+}
+
+// vote feeds per-candidate hit and byte totals through candidate k's
+// first sampler set (set k).
+func vote(c *Controller, hits, bytes []uint64) {
+	for k := range hits {
+		for i := uint64(0); i < hits[k]; i++ {
+			c.RecordHit(k)
+		}
+		c.RecordNVMBytes(k, int(bytes[k]))
+	}
+}
+
+func sum(v []uint64) (t uint64) {
+	for _, x := range v {
+		t += x
+	}
+	return t
 }
 
 func TestTournamentSamplerAssignment(t *testing.T) {
@@ -127,7 +208,7 @@ func TestTournamentSamplerAssignment(t *testing.T) {
 	if c.CandidateFor(95) != 3 {
 		t.Fatalf("initial follower candidate %d, want 3 (permissive start)", c.CandidateFor(95))
 	}
-	c.AddVotes([]uint64{9, 1, 1, 1}, []uint64{0, 0, 0, 0})
+	vote(c, []uint64{9, 1, 1, 1}, []uint64{0, 0, 0, 0})
 	c.EndEpoch()
 	if c.CandidateFor(95) != 0 {
 		t.Fatalf("follower candidate %d after epoch, want 0", c.CandidateFor(95))

@@ -102,8 +102,7 @@ type PolicyForecast struct {
 // The (spec, mix) simulations are independent and run in parallel on the
 // hardened pool: a failed cell is excluded from its policy's aggregates
 // and reported in the returned task records instead of aborting the
-// whole comparison. When base.Shards > 1 each cell runs on the
-// set-sharded engine (bit-identical output for every shard count).
+// whole comparison.
 func ForecastComparison(base core.Config, specs []ForecastSpec, mixes []int, fcfg forecast.Config) ([]PolicyForecast, []cliutil.TaskResult, error) {
 	results := make([]forecast.Result, len(specs)*len(mixes))
 	tasks := make([]cliutil.Task, len(results))
@@ -115,12 +114,11 @@ func ForecastComparison(base core.Config, specs []ForecastSpec, mixes []int, fcf
 			cfg := base
 			cfg.MixID = m
 			spec.Mutate(&cfg)
-			target, done, err := cfg.BuildForecastTarget()
+			sys, err := cfg.Build()
 			if err != nil {
 				return err
 			}
-			defer done()
-			results[i] = forecast.RunTarget(target, fcfg)
+			results[i] = forecast.Run(sys, fcfg)
 			return nil
 		}}
 	}

@@ -59,13 +59,6 @@ type Config struct {
 	// EpochRingCapacity bounds the per-epoch sample series the system
 	// retains (0 selects metrics.DefaultEpochRingCapacity).
 	EpochRingCapacity int
-
-	// Shards records how many set shards the LLC target is split into
-	// (internal/shard's engine plugs in a router target and sets this).
-	// The hierarchy front-end itself always runs single-threaded; the
-	// knob is carried here so System.Config reflects the execution mode.
-	// 0 or 1 means the classic sequential LLC.
-	Shards int
 }
 
 // DefaultConfig returns the scaled default configuration.
@@ -101,11 +94,9 @@ type Program interface {
 
 // Target is the LLC as seen by the hierarchy front-end: per-core access
 // fan-out plus the epoch and metrics plumbing the system needs. The
-// sequential engine wraps a *hybrid.LLC (LLCTarget); the set-sharded
-// engine of internal/shard plugs in a router that forwards each call to
-// the worker owning the block's set. The core index identifies the
-// requesting core so routed inserts can be matched with the fetch that
-// created the L2 line (two cores may hold the same block privately).
+// simulator wraps a *hybrid.LLC (LLCTarget); instrumented wrappers (the
+// perfbench layer timers) decorate that target. The core index
+// identifies the requesting core.
 type Target interface {
 	// GetS looks a block up with read intent on behalf of core.
 	GetS(core int, block uint64) hybrid.AccessResult
@@ -117,9 +108,8 @@ type Target interface {
 	CompressionEnabled() bool
 	// Thresholds exposes the CPth provider (for epoch-series sampling).
 	Thresholds() hybrid.ThresholdProvider
-	// EndEpoch closes a set-dueling epoch. A sharded target must fully
-	// quiesce, merge sampler votes and distribute the winner before
-	// returning, so the epoch sample recorded next reads settled state.
+	// EndEpoch closes a set-dueling epoch before the epoch sample is
+	// recorded, so the sample reads settled state.
 	EndEpoch()
 	// Metrics returns the registry carrying the target's llc.* (and
 	// related) counters; the system registers its own on top.
@@ -133,7 +123,7 @@ type Target interface {
 // llcTarget adapts the sequential *hybrid.LLC to the Target interface.
 type llcTarget struct{ l *hybrid.LLC }
 
-// LLCTarget wraps a sequential LLC as a Target (the default engine).
+// LLCTarget wraps a sequential LLC as a Target.
 func LLCTarget(l *hybrid.LLC) Target { return llcTarget{l} }
 
 func (t llcTarget) GetS(_ int, block uint64) hybrid.AccessResult { return t.l.GetS(block) }
@@ -180,8 +170,8 @@ func (c *Core) L2() *cache.Cache { return c.l2 }
 type System struct {
 	cfg    Config
 	target Target
-	// llc is the concrete sequential LLC when the target wraps one; nil
-	// when a sharded router is plugged in (use Target then).
+	// llc is the concrete LLC when the target is an LLCTarget; nil for
+	// other targets (use Target then).
 	llc   *hybrid.LLC
 	cores []*Core
 	// compress caches target.CompressionEnabled() (constant per run).
@@ -256,7 +246,7 @@ func NewFromPrograms(cfg Config, llc *hybrid.LLC, apps []Program) *System {
 }
 
 // NewWithTarget builds a system running the programs against an arbitrary
-// LLC target (a sequential LLC adapter or internal/shard's router).
+// LLC target (LLCTarget or a wrapper around one).
 func NewWithTarget(cfg Config, t Target, apps []Program) *System {
 	if len(apps) == 0 {
 		panic("hier: no applications")
@@ -377,7 +367,7 @@ func (s *System) SetAccessProbe(p AccessProbe) { s.probe = p }
 func (s *System) AccessProbe() AccessProbe { return s.probe }
 
 // LLC returns the shared last-level cache, or nil when the system runs
-// against a sharded router target (use Target then).
+// against a target other than an LLCTarget (use Target then).
 func (s *System) LLC() *hybrid.LLC { return s.llc }
 
 // Target returns the LLC target the front-end issues accesses to.
@@ -472,8 +462,8 @@ func (s *System) Run(cycles uint64) RunStats {
 }
 
 // closeEpochs closes set-dueling epochs as the global clock crosses
-// EpochCycles boundaries. The target's EndEpoch quiesces a sharded
-// engine, so the sample recordEpoch takes reads settled counters.
+// EpochCycles boundaries; recordEpoch samples after the target's
+// EndEpoch, so it reads settled counters.
 func (s *System) closeEpochs() {
 	for now := s.Now(); now >= s.epochEnd; {
 		s.target.EndEpoch()
@@ -490,7 +480,7 @@ func (s *System) Accesses() uint64 { return s.accesses }
 // furthest-behind core each time, without opening a measurement window —
 // no registry snapshots are taken, so the steady-state call is
 // allocation-free. Epochs still close as the clock crosses boundaries.
-// The alloc-regression tests use it to pin the engines' hot paths.
+// The alloc-regression tests use it to pin the hot path.
 func (s *System) StepAccesses(n int) {
 	for k := 0; k < n; k++ {
 		core := s.cores[0]

@@ -55,9 +55,8 @@ type Config struct {
 
 	// SetMapperAdvance makes the LLC advance the mapper at its own
 	// EndEpoch boundaries and flush the directory when the mapping
-	// changes. The sequential engine sets it; the shard engine leaves
-	// it false and advances the single shared mapper once per epoch at
-	// the router's barrier instead.
+	// changes. core.Build sets it; a caller that leaves it false owns
+	// the mapper's advance itself.
 	SetMapperAdvance bool
 }
 

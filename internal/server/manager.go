@@ -915,7 +915,6 @@ func (m *Manager) simulate(ctx context.Context, j *Job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer h.Close()
 	if j.req.Capacity < 1 {
 		h.PreAge(j.req.Capacity)
 	}
@@ -993,9 +992,12 @@ func (m *Manager) recoverFromStore() error {
 		switch {
 		case err != nil:
 			// The journaled spec was validated before it was written, so
-			// this is disk-level damage; the sweep cannot resume.
+			// this is disk-level damage or a spec from a build with an
+			// axis this one lacks (the retired "shards" axis); the sweep
+			// cannot resume, and its unfinished children end with it.
 			m.log.Error("recovered sweep has an unreadable spec", "sweep", sr.ID, "err", err)
 			sw.state, sw.finished = SweepCanceled, time.Now()
+			err = fmt.Errorf("sweep %s cannot resume: %w", sr.ID, err)
 		case sr.State == string(SweepCompleted):
 			sw.spec, sw.state, sw.finished = spec, SweepCompleted, time.Now()
 		default:
@@ -1011,6 +1013,11 @@ func (m *Manager) recoverFromStore() error {
 			}
 		}
 		m.mu.Unlock()
+		if err != nil {
+			for _, j := range jobs {
+				j.finish(StateCanceled, nil, err) // no-op for terminal children
+			}
+		}
 		if sw.State() == SweepRunning {
 			m.log.Info("resuming sweep", "sweep", sw.id, "children", len(jobs))
 			m.wg.Add(1)

@@ -91,7 +91,6 @@ func referenceReport(t *testing.T, body string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
 	if req.Capacity < 1 {
 		h.PreAge(req.Capacity)
 	}
@@ -419,16 +418,15 @@ func TestCacheKeySemantics(t *testing.T) {
 		t.Fatal("rendering options changed the cache key")
 	}
 
-	// Engine runs share one key for every shard count (PR 4 bit
-	// identity), but must not collide with the sequential run.
-	s2, s4 := base, base
-	s2.Config.Shards = 2
-	s4.Config.Shards = 4
-	if s2.CacheKey() != s4.CacheKey() {
-		t.Fatal("shards=2 and shards=4 hash differently")
+	// The retired set-sharded engine is refused at decode time; shards 1
+	// is the same sequential run as shards 0 and shares its key.
+	if _, err := DecodeJobRequest([]byte(`{"config": {"shards": 2}}`)); !errors.Is(err, core.ErrShardsRetired) {
+		t.Fatalf("shards=2 decode error %v, want core.ErrShardsRetired", err)
 	}
-	if s2.CacheKey() == base.CacheKey() {
-		t.Fatal("engine and sequential runs share a cache key")
+	one := base
+	one.Config.Shards = 1
+	if one.CacheKey() != base.CacheKey() {
+		t.Fatal("shards=1 and shards=0 hash differently")
 	}
 
 	seed := base

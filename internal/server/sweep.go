@@ -88,7 +88,6 @@ var sweepAxisSetters = map[string]func(*JobRequest, json.RawMessage) error{
 	"endurance_cv":       func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.Config.EnduranceCV) },
 	"nvm_latency_factor": func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.Config.NVMLatencyFactor) },
 	"nvm_rrip":           func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.Config.NVMRRIP) },
-	"shards":             func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.Config.Shards) },
 	"tournament": func(r *JobRequest, v json.RawMessage) error {
 		// Decode into a fresh bracket — overwriting through the base's
 		// pointer would leak one child's bracket into its siblings.
