@@ -48,9 +48,12 @@ ci: fmt-check lint build
 # Dedicated race gate for the concurrency-heavy packages: -count=2
 # reruns defeat one-shot schedule luck. The simd job daemon's
 # queue/drain/stream paths and the fleet's lease loop are all goroutine
-# hand-offs.
+# hand-offs. Twenty more runs pin the two fixed submit races: the 202
+# body reports the enqueue-time state, and a completed result is cached
+# before the job's waiters wake.
 race:
 	$(GO) test -race -count=2 ./internal/hybrid ./internal/hier ./internal/server ./internal/fleet ./internal/coloring
+	$(GO) test -race -count=20 -run 'TestServerEndToEnd|TestResubmitAfterCompletionHits' ./internal/server
 
 # Ten seconds of coverage-guided fuzzing per target, on top of the
 # checked-in corpora (which always replay as part of go test).

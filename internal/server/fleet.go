@@ -9,30 +9,16 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/jobstore"
 )
 
 // This file is the coordinator half of the fleet protocol: leasing jobs
 // off the manager's queue to remote workers, ingesting their uploads,
 // and expiring the leases of workers that stop heartbeating. Remote and
-// local execution share one queue and one journal; a job neither knows
-// nor cares where it runs, and the journal's extra states ("leased",
-// "requeued") read as non-terminal on replay, so PR 7's recovery
-// re-runs them without any new cases.
-
-// Journal-only lease states. Like stateRetrying they never become a
-// Job's lifecycle state — on replay both read as "interrupted, run it
-// again", which is exactly the at-least-once contract.
-const (
-	// stateLeased: the job left the queue on a fleet lease.
-	stateLeased = "leased"
-	// stateRequeued: the lease expired and the job went back on the
-	// queue.
-	stateRequeued = "requeued"
-)
+// local execution share one queue, one journal, one lifecycle table
+// (lifecycle.go) and one completion path (Manager.finishJob); a job
+// neither knows nor cares where it runs.
 
 // Fleet failure modes, mapped onto HTTP statuses by the handlers (204,
 // and 400 respectively; fleet.ErrLeaseGone maps to 410).
@@ -90,7 +76,7 @@ func (m *Manager) AcquireLease(ctx context.Context, workerID string, wait time.D
 // grantJob leases one dequeued job to a worker. False means the job was
 // no longer runnable (canceled while queued) and was skipped.
 func (m *Manager) grantJob(j *Job, workerID string) (*fleet.Grant, bool) {
-	if !j.markRunning() {
+	if !j.transition(stateLeased, nil, nil) {
 		return nil, false
 	}
 	attempt := j.beginAttempt()
@@ -100,13 +86,13 @@ func (m *Manager) grantJob(j *Job, workerID string) (*fleet.Grant, bool) {
 		// (expiry removes the lease before requeueing), so this is a
 		// bookkeeping bug; fail the job loudly rather than lose it.
 		m.log.Error("lease grant refused", "job", j.id, "worker", workerID, "err", err)
-		m.finishJob(j, StateFailed, nil, err, cliutil.TaskResult{})
+		m.finishJob(j, completion{state: StateFailed, err: err})
 		return nil, false
 	}
 	j.setWorker(workerID)
-	m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: stateLeased,
-		Sweep: j.sweepID, Label: j.label, CacheKey: j.cacheKey,
-		Attempt: attempt, Worker: workerID, Lease: l.Token})
+	e := j.entry(stateLeased)
+	e.Worker, e.Lease = workerID, l.Token
+	m.journal(e)
 	m.log.Info("lease granted", "job", j.id, "sweep", j.sweepID,
 		"worker", workerID, "lease", l.Token, "attempt", attempt)
 	return &fleet.Grant{
@@ -160,7 +146,15 @@ func (m *Manager) CompleteLease(token string, req fleet.CompleteRequest) (fleet.
 	}
 
 	if req.Error != "" {
-		return m.completeRemoteFailure(token, l, j, req), nil
+		// The worker's run failed: requeue within the retry budget for
+		// a transient failure, terminal failure otherwise.
+		m.leases.Resolve(token)
+		cause := errors.New(req.Error)
+		if req.Transient && m.requeueJob(j, stateRetrying, l.Attempt, l, cause) {
+			return fleet.CompleteResponse{Resolution: fleet.ResolutionRequeued, JobID: j.id}, nil
+		}
+		m.finishJob(j, completion{state: StateFailed, err: fmt.Errorf("worker %s: %w", l.Worker, cause)})
+		return fleet.CompleteResponse{Resolution: fleet.ResolutionFailed, JobID: j.id}, nil
 	}
 
 	sum := sha256.Sum256(req.Artifact)
@@ -183,55 +177,14 @@ func (m *Manager) CompleteLease(token string, req fleet.CompleteRequest) (fleet.
 		// re-run yet, in which case this upload completes the job).
 		m.log.Warn("lease expired during upload", "job", j.id, "lease", token, "err", err)
 	}
-	resolution := m.completeRemote(j, l, res, req.Artifact, req.ArtifactSHA)
-	return fleet.CompleteResponse{Resolution: resolution, JobID: j.id}, nil
-}
-
-// completeRemoteFailure resolves a lease whose worker reported an
-// execution error: requeue within the retry budget for transient
-// failures, terminal failure otherwise.
-func (m *Manager) completeRemoteFailure(token string, l *fleet.Lease, j *Job, req fleet.CompleteRequest) fleet.CompleteResponse {
-	m.leases.Resolve(token)
-	cause := errors.New(req.Error)
-	if req.Transient && l.Attempt < m.opts.Retries+1 && m.rootCtx.Err() == nil {
-		if m.requeueJob(j, requeueRetry, l.Attempt, l.Worker, token, cause) {
-			return fleet.CompleteResponse{Resolution: fleet.ResolutionRequeued, JobID: j.id}
-		}
+	// A job already terminal — the duplicate-completion race — counts
+	// and journals nothing twice; the verified bytes are the ones
+	// already stored, by content addressing.
+	if !m.finishJob(j, completion{state: StateCompleted, res: res, artifact: req.Artifact, lease: l}) {
+		return fleet.CompleteResponse{Resolution: fleet.ResolutionDuplicate, JobID: j.id}, nil
 	}
-	m.finishJob(j, StateFailed, nil, fmt.Errorf("worker %s: %w", l.Worker, cause), cliutil.TaskResult{})
-	return fleet.CompleteResponse{Resolution: fleet.ResolutionFailed, JobID: j.id}
-}
-
-// completeRemote ingests a verified remote artifact: blob into the
-// store first (journaled completion implies the artifact exists, same
-// ordering finishJob keeps), then the in-memory transition. When the
-// job is already terminal — the duplicate-completion race — nothing is
-// counted or journaled twice; the verified bytes are simply dropped,
-// which is safe because content addressing makes them identical to the
-// bytes already stored.
-func (m *Manager) completeRemote(j *Job, l *fleet.Lease, res *Result, blob []byte, sha string) string {
-	if m.store != nil {
-		if _, err := m.store.PutArtifact(j.cacheKey, blob); err != nil {
-			m.log.Error("remote artifact write failed", "job", j.id, "key", j.cacheKey, "err", err)
-			sha = ""
-		}
-	}
-	if !j.finish(StateCompleted, res, nil) {
-		m.leasesDup.Add(1)
-		m.log.Info("duplicate completion resolved by hash", "job", j.id,
-			"worker", l.Worker, "lease", l.Token, "sha", sha)
-		return fleet.ResolutionDuplicate
-	}
-	m.cache.put(j.cacheKey, res)
-	m.completed.Add(1)
-	m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: string(StateCompleted),
-		Sweep: j.sweepID, Label: j.label, CacheKey: j.cacheKey,
-		Attempt: j.Attempts(), ArtifactSHA: sha, Worker: l.Worker, Lease: l.Token})
 	m.observeDuration(time.Since(l.Granted))
-	m.log.Info("job completed remotely", "job", j.id, "sweep", j.sweepID,
-		"worker", l.Worker, "lease", l.Token,
-		"mean_ipc", res.Summary.MeanIPC, "attempts", j.Attempts())
-	return fleet.ResolutionCompleted
+	return fleet.CompleteResponse{Resolution: fleet.ResolutionCompleted, JobID: j.id}, nil
 }
 
 // Leases lists the active fleet leases (GET /v1/leases).
@@ -266,42 +219,26 @@ func (m *Manager) leaseExpiryLoop() {
 			}
 			m.log.Warn("lease expired, requeueing job", "job", j.id, "sweep", j.sweepID,
 				"worker", l.Worker, "lease", l.Token, "attempt", l.Attempt)
-			m.requeueJob(j, requeueLease, l.Attempt, l.Worker, l.Token,
-				fmt.Errorf("lease expired on worker %s", l.Worker))
+			m.requeueJob(j, stateRequeued, l.Attempt, l, fmt.Errorf("lease expired on worker %s", l.Worker))
 		}
 	}
 }
 
 // RunRequestArtifact is the fleet worker's executor: it decodes a
-// strict-canonical request document, runs it through the same engine
-// path the coordinator's local pool uses, and returns the encoded
-// artifact bytes. The engine is bit-exact and the codec deterministic,
-// so the bytes are identical to what local execution of the same
-// request would have stored — the property that makes remote leases,
-// duplicate uploads, and artifact hash checks all compose.
+// strict-canonical request document, runs it through execute — the
+// engine path the coordinator's local pool uses — and returns the
+// encoded artifact bytes. The engine is bit-exact and the codec
+// deterministic, so the bytes are identical to what local execution of
+// the same request would have stored — the property that makes remote
+// leases, duplicate uploads, and artifact hash checks all compose.
 func RunRequestArtifact(ctx context.Context, request json.RawMessage, onProgress func(done, total uint64)) ([]byte, error) {
 	req, err := DecodeJobRequest(request)
 	if err != nil {
 		return nil, err
 	}
-	h, err := req.Config.NewRunHandle()
+	res, err := execute(ctx, req, core.RunHooks{OnProgress: onProgress})
 	if err != nil {
 		return nil, err
 	}
-	if req.Capacity < 1 {
-		h.PreAge(req.Capacity)
-	}
-	sum, err := h.MeasureCtx(ctx, req.WarmupCycles, req.MeasureCycles, core.RunHooks{OnProgress: onProgress})
-	if err != nil {
-		return nil, err
-	}
-	winner := -1
-	if w, ok := h.DuelingWinner(); ok {
-		winner = w
-	}
-	return encodeResult(req.CacheKey(), &Result{
-		Summary:    sum,
-		Epochs:     h.EpochRing().Samples(),
-		CPthWinner: winner,
-	})
+	return encodeResult(req.CacheKey(), res)
 }

@@ -33,7 +33,7 @@ func submitOne(t *testing.T, m *Manager, body string) *Job {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := m.Submit(req)
+	j, _, err := m.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	artifact, sha := executeGrant(t, g)
+	artifact, _ := executeGrant(t, g)
 	res, key, err := decodeResultKeyed(artifact)
 	if err != nil || key != j.CacheKey() {
 		t.Fatal(err)
@@ -257,12 +257,12 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 
 	// The requeued copy of the job completed first (simulated directly:
 	// this is the window between Peek and Resolve in CompleteLease).
-	if !j.finish(StateCompleted, res, nil) {
-		t.Fatal("setup finish failed")
+	if !j.transition(StateCompleted, res, nil) {
+		t.Fatal("setup transition failed")
 	}
 	lease := &fleet.Lease{Token: g.Token, JobID: g.JobID, Worker: "w1", Attempt: g.Attempt, Granted: time.Now()}
-	if got := m.completeRemote(j, lease, res, artifact, sha); got != fleet.ResolutionDuplicate {
-		t.Fatalf("resolution = %q, want duplicate", got)
+	if m.finishJob(j, completion{state: StateCompleted, res: res, artifact: artifact, lease: lease}) {
+		t.Fatal("resolution = completed, want duplicate")
 	}
 	if m.leasesDup.Load() != 1 || m.completed.Load() != 0 {
 		t.Fatalf("dup=%d completed=%d", m.leasesDup.Load(), m.completed.Load())

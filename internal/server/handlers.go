@@ -196,7 +196,7 @@ func (s *apiServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	j, err := s.m.Submit(req)
+	j, st, err := s.m.Submit(req)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		// Retry-After is derived from the backlog and the observed mean
@@ -213,11 +213,13 @@ func (s *apiServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+j.ID())
-	if j.State() == StateCompleted { // cache hit: the result is ready now
+	// 200 only when the submission itself hit the cache; a miss answers
+	// with its status at enqueue time, whatever a worker has done since.
+	if st.CacheHit {
 		writeJSON(w, http.StatusOK, s.jobResponse(j))
 		return
 	}
-	writeJSON(w, http.StatusAccepted, j.Status())
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 func (s *apiServer) handleList(w http.ResponseWriter, r *http.Request) {

@@ -2,11 +2,13 @@ package server
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
+	"repro/internal/jobstore"
 	"repro/internal/metrics"
 )
 
@@ -30,7 +32,6 @@ type Job struct {
 	sweepID   string // owning sweep, empty for standalone submissions
 	label     string // sweep-child axis label ("policy=CA,cpth=40")
 	submitted time.Time
-	cancel    context.CancelFunc
 
 	mu        sync.Mutex
 	state     JobState
@@ -65,13 +66,8 @@ func newJob(id string, req JobRequest) *Job {
 // newCachedJob returns an already-completed job serving a cached result.
 func newCachedJob(id string, req JobRequest, res *Result) *Job {
 	j := newJob(id, req)
-	j.state = StateCompleted
-	j.started, j.finished = j.submitted, j.submitted
-	j.done = j.total
-	j.epochs = res.Epochs
-	j.result = res
 	j.cacheHit = true
-	close(j.notify)
+	j.transition(StateCompleted, res, nil)
 	return j
 }
 
@@ -91,34 +87,50 @@ func (j *Job) wake() {
 	j.notify = make(chan struct{})
 }
 
-// markRunning transitions queued → running; it reports false when the
-// job is already terminal (e.g. canceled before a worker claimed it).
-func (j *Job) markRunning() bool {
+// transition moves the job into the lifecycle row for to, when the
+// table allows entering it from the job's current state, and reports
+// whether it did; a refused transition changes nothing. Entering
+// running stamps the start. Entering a terminal state stamps the finish
+// and records res and err; a result also completes the progress and
+// replaces the epoch series with the result's (ring-bounded) one, so
+// polls and streams agree with what the report renders.
+func (j *Job) transition(to JobState, res *Result, err error) bool {
+	row, ok := lifecycle[to]
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateQueued {
+	if !ok || !slices.Contains(row.from, j.state) {
 		return false
 	}
-	j.state = StateRunning
-	j.started = time.Now()
+	now := time.Now()
+	j.state = row.state
+	switch {
+	case j.state == StateRunning:
+		j.started = now
+	case j.state.Terminal():
+		j.finished = now
+		if j.started.IsZero() {
+			j.started = now
+		}
+		j.result, j.err = res, err
+		if res != nil {
+			j.done = j.total
+			j.epochs = res.Epochs
+		}
+	}
 	j.wake()
 	return true
 }
 
-// markRequeued transitions running → queued: the job's lease expired or
-// its attempt failed transiently, and it goes back on the queue for the
-// next worker. Reports false when the job is not currently running
-// (terminal states stay terminal — a requeue must never resurrect a
-// completed job).
-func (j *Job) markRequeued() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != StateRunning {
-		return false
+// entry is the journal entry recording the job entering state. A
+// progress-only row carries just the job ID; a transition also carries
+// the job's owning sweep, label, content address and attempt count.
+// Callers add the fields particular to the transition.
+func (j *Job) entry(state JobState) jobstore.Entry {
+	e := jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: string(state)}
+	if lifecycle[state].replay != replayProgress {
+		e.Sweep, e.Label, e.CacheKey, e.Attempt = j.sweepID, j.label, j.cacheKey, j.Attempts()
 	}
-	j.state = StateQueued
-	j.wake()
-	return true
+	return e
 }
 
 // setWorker records which fleet worker holds the job's lease.
@@ -126,13 +138,6 @@ func (j *Job) setWorker(worker string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.worker = worker
-}
-
-// Worker returns the fleet worker holding (or last holding) the job.
-func (j *Job) Worker() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.worker
 }
 
 // beginAttempt records one more execution attempt, clearing any epochs a
@@ -153,27 +158,6 @@ func (j *Job) Attempts() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.attempts
-}
-
-// completeFromCache finishes a still-pending job with a shared cached or
-// store-recovered result, marking it a cache hit (no simulation ran for
-// it in this process).
-func (j *Job) completeFromCache(res *Result) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return
-	}
-	j.state = StateCompleted
-	j.finished = time.Now()
-	if j.started.IsZero() {
-		j.started = j.finished
-	}
-	j.done = j.total
-	j.epochs = res.Epochs
-	j.result = res
-	j.cacheHit = true
-	j.wake()
 }
 
 // awaitTerminal blocks until the job reaches a terminal state. The
@@ -219,33 +203,6 @@ func (j *Job) setProgress(done, total uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.done, j.total = done, total
-}
-
-// finish moves the job to a terminal state, reporting whether this call
-// performed the transition (false: the job was already terminal, and
-// nothing changed — the caller must not count or journal a second
-// terminal outcome). The final epoch series is replaced by the result's
-// (ring-bounded) series on success so polls and streams agree with what
-// the report renders.
-func (j *Job) finish(state JobState, res *Result, err error) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state.Terminal() {
-		return false
-	}
-	j.state = state
-	j.finished = time.Now()
-	if j.started.IsZero() {
-		j.started = j.finished
-	}
-	j.result = res
-	j.err = err
-	if res != nil {
-		j.done = j.total
-		j.epochs = res.Epochs
-	}
-	j.wake()
-	return true
 }
 
 // setEstimate records the planner's analytic estimate for the child.
@@ -330,4 +287,31 @@ func (j *Job) epochsAfter(n int) ([]metrics.Sample, <-chan struct{}, bool) {
 		out = append(out, j.epochs[n:]...)
 	}
 	return out, j.notify, j.state.Terminal()
+}
+
+// execute runs one request through the engine: build, optional pre-age,
+// the chunked measure window, and the result the cache and artifacts
+// hold. Local pool workers and fleet workers both run it, which is what
+// makes a job's artifact bytes the same wherever it runs.
+func execute(ctx context.Context, req JobRequest, hooks core.RunHooks) (*Result, error) {
+	h, err := req.Config.NewRunHandle()
+	if err != nil {
+		return nil, err
+	}
+	if req.Capacity < 1 {
+		h.PreAge(req.Capacity)
+	}
+	sum, err := h.MeasureCtx(ctx, req.WarmupCycles, req.MeasureCycles, hooks)
+	if err != nil {
+		return nil, err
+	}
+	winner := -1
+	if w, ok := h.DuelingWinner(); ok {
+		winner = w
+	}
+	return &Result{
+		Summary:    sum,
+		Epochs:     h.EpochRing().Samples(),
+		CPthWinner: winner,
+	}, nil
 }

@@ -29,12 +29,6 @@ var (
 	ErrDraining  = errors.New("server: draining, not accepting jobs")
 )
 
-// stateRetrying is a journal-only state: the job failed transiently and
-// will run again after backoff. It never becomes a Job's lifecycle
-// state — on replay it reads as non-terminal, which is exactly right
-// (the job is re-executed).
-const stateRetrying = "retrying"
-
 // Options tune a Manager. The zero value picks sensible daemon defaults.
 type Options struct {
 	// Workers caps concurrently running local simulations; 0 uses
@@ -297,65 +291,54 @@ func (m *Manager) journal(e jobstore.Entry) {
 	}
 }
 
-// journalJob appends a plain state transition for a job.
-func (m *Manager) journalJob(j *Job, state string, err error) {
-	e := jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: state,
-		Sweep: j.sweepID, Label: j.label, CacheKey: j.cacheKey, Attempt: j.Attempts()}
-	if err != nil {
-		e.Error = err.Error()
-	}
-	m.journal(e)
-}
-
 // Submit validates nothing (callers decode+validate the request) and
 // enqueues a job, serving it straight from the result cache when the
-// content address hits. ErrQueueFull and ErrDraining report backpressure
-// and shutdown respectively.
-func (m *Manager) Submit(req JobRequest) (*Job, error) {
+// content address hits. It also returns the job's status as of
+// submission — completed for a cache hit, queued otherwise — whatever a
+// worker has done with the job since. ErrQueueFull and ErrDraining
+// report backpressure and shutdown respectively.
+func (m *Manager) Submit(req JobRequest) (*Job, JobStatus, error) {
 	key := req.CacheKey()
-	if res, ok := m.cache.get(key); ok {
-		m.mu.Lock()
-		if m.draining {
-			m.mu.Unlock()
-			return nil, ErrDraining
-		}
-		j := newCachedJob(m.nextIDLocked(), req, res)
-		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
-		m.mu.Unlock()
-		m.submitted.Add(1)
-		m.cacheHits.Add(1)
-		m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: string(StateCompleted),
-			CacheKey: key, Request: marshalRequest(req)})
-		m.log.Info("job cache hit", "job", j.id, "key", key)
-		return j, nil
-	}
-
+	res, hit := m.cache.get(key)
 	m.mu.Lock()
 	if m.draining {
 		m.mu.Unlock()
-		return nil, ErrDraining
+		return nil, JobStatus{}, ErrDraining
 	}
-	j := newJob(m.nextIDLocked(), req)
-	select {
-	case m.queue <- j:
-	default:
-		m.seq-- // ID not spent
-		m.mu.Unlock()
-		m.queueRejects.Add(1)
-		m.log.Warn("job rejected: queue full", "depth", cap(m.queue))
-		return nil, ErrQueueFull
+	var j *Job
+	if hit {
+		j = newCachedJob(m.nextIDLocked(), req, res)
+	} else {
+		j = newJob(m.nextIDLocked(), req)
+	}
+	st := j.Status()
+	if !hit {
+		select {
+		case m.queue <- j:
+		default:
+			m.seq-- // ID not spent
+			m.mu.Unlock()
+			m.queueRejects.Add(1)
+			m.log.Warn("job rejected: queue full", "depth", cap(m.queue))
+			return nil, JobStatus{}, ErrQueueFull
+		}
 	}
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	m.mu.Unlock()
 	m.submitted.Add(1)
-	m.cacheMisses.Add(1)
-	m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: string(StateQueued),
-		CacheKey: key, Request: marshalRequest(req)})
-	m.log.Info("job queued", "job", j.id, "key", key,
-		"policy", j.req.Config.PolicyName, "mix", j.req.Config.MixID+1)
-	return j, nil
+	e := j.entry(st.State)
+	e.Request = marshalRequest(req)
+	m.journal(e)
+	if hit {
+		m.cacheHits.Add(1)
+		m.log.Info("job cache hit", "job", j.id, "key", key)
+	} else {
+		m.cacheMisses.Add(1)
+		m.log.Info("job queued", "job", j.id, "key", key,
+			"policy", j.req.Config.PolicyName, "mix", j.req.Config.MixID+1)
+	}
+	return j, st, nil
 }
 
 // marshalRequest renders a request for its creation journal entry.
@@ -421,12 +404,9 @@ func (m *Manager) SubmitSweep(spec SweepSpec) (*Sweep, error) {
 	m.journal(jobstore.Entry{Kind: jobstore.KindSweep, ID: sw.id,
 		State: string(SweepRunning), Spec: specRaw, Children: sw.Children()})
 	for _, j := range jobs {
-		state := string(StateQueued)
-		if j.State() == StateCompleted {
-			state = string(StateCompleted)
-		}
-		m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: state,
-			Sweep: sw.id, Label: j.label, CacheKey: j.cacheKey, Request: marshalRequest(j.req)})
+		e := j.entry(j.State())
+		e.Request = marshalRequest(j.req)
+		m.journal(e)
 	}
 	m.log.Info("sweep submitted", "sweep", sw.id, "name", spec.Name,
 		"children", len(jobs), "cache_hits", hits, "concurrency", spec.concurrency())
@@ -458,7 +438,7 @@ func (m *Manager) runSweep(sw *Sweep, jobs []*Job) {
 	aborted := false
 	for _, j := range jobs {
 		if aborted {
-			m.finishJob(j, StateCanceled, nil, ErrDraining, cliutil.TaskResult{})
+			m.finishJob(j, completion{state: StateCanceled, err: ErrDraining})
 			continue
 		}
 		if j.State().Terminal() { // cache hit or recovered-complete child
@@ -468,13 +448,13 @@ func (m *Manager) runSweep(sw *Sweep, jobs []*Job) {
 		case sem <- struct{}{}:
 		case <-m.drainc:
 			aborted = true
-			m.finishJob(j, StateCanceled, nil, ErrDraining, cliutil.TaskResult{})
+			m.finishJob(j, completion{state: StateCanceled, err: ErrDraining})
 			continue
 		}
 		if !m.enqueueBlocking(j) {
 			<-sem
 			aborted = true
-			m.finishJob(j, StateCanceled, nil, ErrDraining, cliutil.TaskResult{})
+			m.finishJob(j, completion{state: StateCanceled, err: ErrDraining})
 			continue
 		}
 		watchers.Add(1)
@@ -561,7 +541,7 @@ func (m *Manager) planSweep(sw *Sweep, jobs []*Job) {
 		if onFrontier {
 			continue
 		}
-		m.finishJob(jobs[idx[k]], StateScreened, nil, nil, cliutil.TaskResult{})
+		m.finishJob(jobs[idx[k]], completion{state: StateScreened})
 		screened++
 	}
 	m.log.Info("sweep planned", "sweep", sw.id, "estimated", len(pts),
@@ -613,7 +593,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 		for {
 			select {
 			case j := <-m.queue:
-				m.finishJob(j, StateCanceled, nil, ErrDraining, cliutil.TaskResult{})
+				m.finishJob(j, completion{state: StateCanceled, err: ErrDraining})
 				continue
 			default:
 			}
@@ -714,12 +694,12 @@ func (m *Manager) runJob(j *Job) {
 	if hook := m.beforeRun; hook != nil {
 		hook(j)
 	}
-	if !j.markRunning() {
+	if !j.transition(StateRunning, nil, nil) {
 		return
 	}
 	m.running.Add(1)
 	defer m.running.Add(-1)
-	m.journalJob(j, string(StateRunning), nil)
+	m.journal(j.entry(StateRunning))
 
 	attempt := j.beginAttempt()
 	start := time.Now()
@@ -728,7 +708,16 @@ func (m *Manager) runJob(j *Job) {
 	if m.opts.JobTimeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, m.opts.JobTimeout)
 	}
-	j.cancel = cancel
+	hooks := core.RunHooks{OnEpoch: j.addEpoch, OnProgress: j.setProgress}
+	if m.store != nil {
+		hooks.OnCheckpoint = func(cp core.Checkpoint) {
+			if j.shouldCheckpoint(m.opts.CheckpointEvery) {
+				e := j.entry(jobstore.StateCheckpoint)
+				e.Progress, e.Total = cp.Cycles, cp.TotalCycles
+				m.journal(e)
+			}
+		}
+	}
 
 	var res *Result
 	outcome := cliutil.RunTask(cliutil.Task{
@@ -739,7 +728,7 @@ func (m *Manager) runJob(j *Job) {
 					return err
 				}
 			}
-			r, err := m.simulate(ctx, j)
+			r, err := execute(ctx, j.req, hooks)
 			res = r
 			return err
 		},
@@ -749,71 +738,59 @@ func (m *Manager) runJob(j *Job) {
 	err := outcome.Err
 	if err == nil {
 		m.observeDuration(time.Since(start))
-		m.finishJob(j, StateCompleted, res, nil, outcome)
+		m.finishJob(j, completion{state: StateCompleted, res: res})
 		return
 	}
 	if errors.Is(err, context.Canceled) {
-		m.finishJob(j, StateCanceled, nil, err, outcome)
+		m.finishJob(j, completion{state: StateCanceled, err: err})
 		return
 	}
 	transient := outcome.Panicked || outcome.TimedOut || errors.Is(err, context.DeadlineExceeded)
-	if transient && attempt < m.opts.Retries+1 && m.rootCtx.Err() == nil {
-		if m.requeueJob(j, requeueRetry, attempt, "", "", err) {
-			return
-		}
+	if transient && m.requeueJob(j, stateRetrying, attempt, nil, err) {
+		return
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
 		err = fmt.Errorf("job timeout %v exceeded after %d attempt(s)", m.opts.JobTimeout, attempt)
 	}
-	m.finishJob(j, StateFailed, nil, err, outcome)
+	m.finishJob(j, completion{state: StateFailed, err: err, panicked: outcome.Panicked})
 }
-
-// requeueReason distinguishes why a running job goes back on the queue.
-type requeueReason int
-
-const (
-	// requeueRetry: the attempt failed transiently and the retry budget
-	// allows another (jittered backoff applies).
-	requeueRetry requeueReason = iota
-	// requeueLease: the job's fleet lease expired; requeue immediately
-	// (the backoff already happened — it was the missed TTL).
-	requeueLease
-)
 
 // requeueJob is the single path every requeue takes — local retry
 // backoff and fleet lease expiry alike — so the counters, journal
-// entries, and backoff accounting cannot drift between them. It flips
-// the job running → queued, journals the transition (with the worker
-// and lease for expiries), and re-enqueues after the reason's delay
-// without holding a pool worker. False means the job was not running
-// anymore (already terminal, or racing another requeue) and nothing
-// was done.
-func (m *Manager) requeueJob(j *Job, reason requeueReason, attempt int, worker, lease string, cause error) bool {
-	if !j.markRequeued() {
+// entries, and backoff accounting cannot drift between them. state is
+// stateRetrying (a transiently failed attempt: only within the retry
+// budget, after a jittered backoff) or stateRequeued (an expired fleet
+// lease: at once — the missed TTL was the backoff). It moves the job
+// back to queued, journals why (with the worker and lease, for a fleet
+// attempt), and re-enqueues without holding a pool worker. False means
+// nothing was done: the retry budget is spent, the manager is shutting
+// down, or the job was not running anymore (already terminal, or
+// racing another requeue).
+func (m *Manager) requeueJob(j *Job, state JobState, attempt int, l *fleet.Lease, cause error) bool {
+	if state == stateRetrying && (attempt >= m.opts.Retries+1 || m.rootCtx.Err() != nil) {
 		return false
 	}
-	var delay time.Duration
-	entry := jobstore.Entry{Kind: jobstore.KindJob, ID: j.id,
-		Sweep: j.sweepID, Label: j.label, CacheKey: j.cacheKey,
-		Attempt: attempt, Worker: worker, Lease: lease}
-	if cause != nil {
-		entry.Error = cause.Error()
+	if !j.transition(state, nil, nil) {
+		return false
 	}
-	switch reason {
-	case requeueRetry:
+	e := j.entry(state)
+	e.Attempt, e.Error = attempt, cause.Error()
+	if l != nil {
+		e.Worker, e.Lease = l.Worker, l.Token
+	}
+	var delay time.Duration
+	if state == stateRetrying {
 		delay = m.opts.RetryBackoff.Delay(attempt, nil)
 		m.retried.Add(1)
-		entry.State = stateRetrying
 		m.log.Warn("job attempt failed, retrying", "job", j.id, "sweep", j.sweepID,
-			"worker", worker, "attempt", attempt, "of", m.opts.Retries+1,
+			"worker", e.Worker, "attempt", attempt, "of", m.opts.Retries+1,
 			"backoff", delay.Round(time.Millisecond), "err", cause)
-	case requeueLease:
+	} else {
 		m.leasesRequeued.Add(1)
-		entry.State = stateRequeued
 		m.log.Warn("job requeued", "job", j.id, "sweep", j.sweepID,
-			"worker", worker, "lease", lease, "attempt", attempt, "err", cause)
+			"worker", e.Worker, "lease", e.Lease, "attempt", attempt, "err", cause)
 	}
-	m.journal(entry)
+	m.journal(e)
 
 	// The re-enqueue goroutine joins m.wg so Drain waits for it — but
 	// only when the manager is not already draining (Add would race
@@ -826,7 +803,7 @@ func (m *Manager) requeueJob(j *Job, reason requeueReason, attempt int, worker, 
 	}
 	m.mu.Unlock()
 	if draining {
-		m.finishJob(j, StateCanceled, nil, ErrDraining, cliutil.TaskResult{})
+		m.finishJob(j, completion{state: StateCanceled, err: ErrDraining})
 		return true
 	}
 	go func() {
@@ -835,70 +812,97 @@ func (m *Manager) requeueJob(j *Job, reason requeueReason, attempt int, worker, 
 			select {
 			case <-time.After(delay):
 			case <-m.rootCtx.Done():
-				m.finishJob(j, StateCanceled, nil, context.Canceled, cliutil.TaskResult{})
+				m.finishJob(j, completion{state: StateCanceled, err: context.Canceled})
 				return
 			}
 		}
 		if !m.enqueueBlocking(j) {
-			m.finishJob(j, StateCanceled, nil, ErrDraining, cliutil.TaskResult{})
+			m.finishJob(j, completion{state: StateCanceled, err: ErrDraining})
 		}
 	}()
 	return true
 }
 
-// finishJob publishes a job's terminal state: counters, cache and
-// artifact on success, journal entry always. The artifact is written
-// before its journal entry, so a journaled completion implies the
-// artifact exists (at-least-once execution, idempotent artifacts) —
-// and before j.finish flips the in-memory state, so an observer woken
-// by awaitTerminal can already read the artifact.
-func (m *Manager) finishJob(j *Job, state JobState, res *Result, err error, outcome cliutil.TaskResult) {
+// completion is a job's terminal outcome, however it was reached. The
+// optional fields say how: artifact holds the verified upload of a
+// remote completion (nil: the artifact is encoded from res), lease is
+// the fleet lease the upload resolves, and panicked marks a local
+// attempt that died in the recover barrier.
+type completion struct {
+	state    JobState
+	res      *Result
+	err      error
+	artifact []byte
+	lease    *fleet.Lease
+	panicked bool
+}
+
+// finishJob is the one completion path, local and remote alike. It
+// reports whether it moved the job to c's terminal state; false means
+// the job was already terminal — a racing completion (remote upload vs
+// local re-run) or a cancel chasing a finished job — and the first
+// terminal state won, so nothing is counted or journaled twice. A
+// result is published before the transition wakes anyone: the artifact
+// first (a journaled completion implies the artifact exists, and an
+// observer woken by awaitTerminal can already read it), then the cache
+// (a follower that resubmits the request hits).
+func (m *Manager) finishJob(j *Job, c completion) bool {
 	var sha string
-	if state == StateCompleted {
-		sha = m.storeResult(j, res)
+	if c.state == StateCompleted {
+		sha = m.storeResult(j, c)
+		m.cache.put(j.cacheKey, c.res)
 	}
-	if !j.finish(state, res, err) {
-		// Already terminal: a racing completion (remote upload vs local
-		// re-run) or a cancel chasing a finished job. The first terminal
-		// state won; counting or journaling a second would lie.
-		return
+	if !j.transition(c.state, c.res, c.err) {
+		if c.lease != nil {
+			m.leasesDup.Add(1)
+			m.log.Info("duplicate completion resolved by hash", "job", j.id,
+				"worker", c.lease.Worker, "lease", c.lease.Token, "sha", sha)
+		}
+		return false
 	}
-	switch state {
+	e := j.entry(c.state)
+	if c.err != nil {
+		e.Error = c.err.Error()
+	}
+	if c.lease != nil {
+		e.Worker, e.Lease = c.lease.Worker, c.lease.Token
+	}
+	switch c.state {
 	case StateCompleted:
-		m.cache.put(j.cacheKey, res)
 		m.completed.Add(1)
-		m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: string(StateCompleted),
-			Sweep: j.sweepID, Label: j.label, CacheKey: j.cacheKey,
-			Attempt: j.Attempts(), ArtifactSHA: sha})
-		m.log.Info("job completed", "job", j.id, "sweep", j.sweepID,
-			"mean_ipc", res.Summary.MeanIPC, "epochs", len(res.Epochs), "attempts", j.Attempts())
+		e.ArtifactSHA = sha
+		m.log.Info("job completed", "job", j.id, "sweep", j.sweepID, "worker", e.Worker, "lease", e.Lease,
+			"mean_ipc", c.res.Summary.MeanIPC, "epochs", len(c.res.Epochs), "attempts", e.Attempt)
 	case StateCanceled:
 		m.canceled.Add(1)
-		m.journalJob(j, string(StateCanceled), err)
 		m.log.Info("job canceled", "job", j.id, "sweep", j.sweepID)
 	case StateScreened:
 		m.screened.Add(1)
-		m.journalJob(j, string(StateScreened), nil)
 		m.log.Info("job screened by analytic planner", "job", j.id, "sweep", j.sweepID, "label", j.label)
 	default:
 		m.failed.Add(1)
-		m.journalJob(j, string(StateFailed), err)
 		m.log.Error("job failed", "job", j.id, "sweep", j.sweepID,
-			"err", err, "panicked", outcome.Panicked, "attempts", j.Attempts())
+			"err", c.err, "panicked", c.panicked, "attempts", e.Attempt)
 	}
+	m.journal(e)
+	return true
 }
 
-// storeResult writes the result's artifact and returns its SHA-256, or
-// "" when the manager has no store or the write failed (recovery then
-// re-runs the job instead of loading a blob that is not there).
-func (m *Manager) storeResult(j *Job, res *Result) string {
+// storeResult writes the completion's artifact — the verified upload,
+// or the result encoded here — and returns its SHA-256, or "" when the
+// manager has no store or the write failed (recovery then re-runs the
+// job instead of loading a blob that is not there).
+func (m *Manager) storeResult(j *Job, c completion) string {
 	if m.store == nil {
 		return ""
 	}
-	blob, err := encodeResult(j.cacheKey, res)
-	if err != nil {
-		m.log.Error("artifact encode failed", "job", j.id, "key", j.cacheKey, "err", err)
-		return ""
+	blob := c.artifact
+	if blob == nil {
+		var err error
+		if blob, err = encodeResult(j.cacheKey, c.res); err != nil {
+			m.log.Error("artifact encode failed", "job", j.id, "key", j.cacheKey, "err", err)
+			return ""
+		}
 	}
 	sha, err := m.store.PutArtifact(j.cacheKey, blob)
 	if err != nil {
@@ -908,50 +912,13 @@ func (m *Manager) storeResult(j *Job, res *Result) string {
 	return sha
 }
 
-// simulate builds and measures the job's run, streaming epochs and
-// progress into the job as it goes and journaling throttled checkpoints.
-func (m *Manager) simulate(ctx context.Context, j *Job) (*Result, error) {
-	h, err := j.req.Config.NewRunHandle()
-	if err != nil {
-		return nil, err
-	}
-	if j.req.Capacity < 1 {
-		h.PreAge(j.req.Capacity)
-	}
-	hooks := core.RunHooks{
-		OnEpoch:    j.addEpoch,
-		OnProgress: j.setProgress,
-	}
-	if m.store != nil {
-		hooks.OnCheckpoint = func(cp core.Checkpoint) {
-			if !j.shouldCheckpoint(m.opts.CheckpointEvery) {
-				return
-			}
-			m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: jobstore.StateCheckpoint,
-				Progress: cp.Cycles, Total: cp.TotalCycles})
-		}
-	}
-	sum, err := h.MeasureCtx(ctx, j.req.WarmupCycles, j.req.MeasureCycles, hooks)
-	if err != nil {
-		return nil, err
-	}
-	winner := -1
-	if w, ok := h.DuelingWinner(); ok {
-		winner = w
-	}
-	return &Result{
-		Summary:    sum,
-		Epochs:     h.EpochRing().Samples(),
-		CPthWinner: winner,
-	}, nil
-}
-
-// recoverFromStore replays the journal into live state: completed jobs
-// come back served from their artifacts (hash-verified when the journal
-// recorded a digest), interrupted jobs are re-enqueued to run again from
-// their recorded requests — the simulator is bit-exact deterministic, so
-// the re-run produces the same artifact bytes — and unfinished sweeps
-// resume scheduling, skipping children that already have results.
+// recoverFromStore replays the journal into live state. Each job's last
+// journaled state decides, through the lifecycle table's replay column,
+// whether it is served from its artifact (hash-verified when the journal
+// recorded a digest), stays terminal, or runs again from its recorded
+// request — the simulator is bit-exact deterministic, so the re-run
+// produces the same artifact bytes. Unfinished sweeps resume scheduling,
+// skipping children that already have results.
 func (m *Manager) recoverFromStore() error {
 	entries, err := jobstore.Replay(m.store.Root())
 	if err != nil {
@@ -969,17 +936,14 @@ func (m *Manager) recoverFromStore() error {
 
 	var requeue []*Job
 	for _, rec := range red.Jobs {
-		if n, ok := parseSeq(rec.ID, "job"); ok && n > m.seq {
-			m.seq = n
-		}
-		j, runnable := m.rebuildJob(rec, sweepState[rec.Sweep])
-		m.mu.Lock()
-		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
-		m.mu.Unlock()
-		m.recovered.Add(1)
-		if runnable && rec.Sweep == "" {
-			requeue = append(requeue, j) // sweep children are re-admitted by their scheduler
+		owner := sweepState[rec.Sweep]
+		j, runnable := m.rebuildJob(rec, owner)
+		m.adopt(j)
+		// A resumed sweep re-admits its own children. A completed sweep
+		// can still owe one: it finalizes on seeing its last child
+		// terminal, which can precede that child's journaled completion.
+		if runnable && (rec.Sweep == "" || owner == string(SweepCompleted)) {
+			requeue = append(requeue, j)
 		}
 	}
 
@@ -987,8 +951,10 @@ func (m *Manager) recoverFromStore() error {
 		if n, ok := parseSeq(sr.ID, "sweep"); ok && n > m.sweepSeq {
 			m.sweepSeq = n
 		}
-		sw := &Sweep{id: sr.ID, created: time.Now(), children: append([]string(nil), sr.Children...)}
+		sw := &Sweep{id: sr.ID, created: time.Now(), state: SweepRunning,
+			children: append([]string(nil), sr.Children...)}
 		spec, err := DecodeSweepSpec(sr.Spec)
+		var owed []SweepChild
 		switch {
 		case err != nil:
 			// The journaled spec was validated before it was written, so
@@ -996,26 +962,41 @@ func (m *Manager) recoverFromStore() error {
 			// axis this one lacks (the retired "shards" axis); the sweep
 			// cannot resume, and its unfinished children end with it.
 			m.log.Error("recovered sweep has an unreadable spec", "sweep", sr.ID, "err", err)
-			sw.state, sw.finished = SweepCanceled, time.Now()
+			sw.finalize(SweepCanceled)
 			err = fmt.Errorf("sweep %s cannot resume: %w", sr.ID, err)
 		case sr.State == string(SweepCompleted):
-			sw.spec, sw.state, sw.finished = spec, SweepCompleted, time.Now()
+			sw.spec = spec
+			sw.finalize(SweepCompleted)
 		default:
-			sw.spec, sw.state = spec, SweepRunning
+			sw.spec = spec
+			owed, _ = spec.Expand()
 		}
 		m.mu.Lock()
 		m.sweeps[sw.id] = sw
 		m.sweepOrd = append(m.sweepOrd, sw.id)
-		jobs := make([]*Job, 0, len(sw.children))
-		for _, id := range sw.children {
-			if j, ok := m.jobs[id]; ok {
-				jobs = append(jobs, j)
-			}
-		}
 		m.mu.Unlock()
+		jobs := make([]*Job, 0, len(sw.children))
+		for i, id := range sw.children {
+			j, ok := m.Job(id)
+			if !ok {
+				if len(owed) != len(sw.children) {
+					continue
+				}
+				// The crash came between the sweep's entry and this
+				// child's creation entry. Expansion order is part of the
+				// recovery contract, so the spec re-expands to the child.
+				j = newJob(id, owed[i].Request)
+				j.sweepID, j.label, j.recovered = sw.id, owed[i].Label, true
+				m.adopt(j)
+				e := j.entry(StateQueued)
+				e.Request = marshalRequest(j.req)
+				m.journal(e)
+			}
+			jobs = append(jobs, j)
+		}
 		if err != nil {
 			for _, j := range jobs {
-				j.finish(StateCanceled, nil, err) // no-op for terminal children
+				j.transition(StateCanceled, nil, err) // refused for terminal children
 			}
 		}
 		if sw.State() == SweepRunning {
@@ -1028,15 +1009,15 @@ func (m *Manager) recoverFromStore() error {
 	m.log.Info("journal replayed", "entries", len(entries),
 		"jobs", len(red.Jobs), "sweeps", len(red.Sweeps), "requeued", len(requeue))
 
-	// Re-enqueue interrupted standalone jobs off the constructor path —
-	// there may be more of them than the queue holds.
+	// Re-enqueue interrupted jobs off the constructor path — there may be
+	// more of them than the queue holds.
 	if len(requeue) > 0 {
 		m.wg.Add(1)
 		go func() {
 			defer m.wg.Done()
 			for _, j := range requeue {
 				if !m.enqueueBlocking(j) {
-					m.finishJob(j, StateCanceled, nil, ErrDraining, cliutil.TaskResult{})
+					m.finishJob(j, completion{state: StateCanceled, err: ErrDraining})
 				}
 			}
 		}()
@@ -1044,12 +1025,23 @@ func (m *Manager) recoverFromStore() error {
 	return nil
 }
 
+// adopt registers a job rebuilt from the journal, keeping the ID
+// sequence past it.
+func (m *Manager) adopt(j *Job) {
+	m.mu.Lock()
+	if n, ok := parseSeq(j.id, "job"); ok && n > m.seq {
+		m.seq = n
+	}
+	m.jobs[j.id] = j
+	m.order = append(m.order, j.id)
+	m.mu.Unlock()
+	m.recovered.Add(1)
+}
+
 // rebuildJob reconstructs one job from its reduced journal record,
-// returning it plus whether it still needs to run. Completed jobs load
-// their artifact (missing or corrupt → re-run); failed jobs stay
-// failed; canceled standalone jobs stay canceled, but canceled children
-// of an unfinished sweep re-run — the cancel came from a drain, and the
-// resumed sweep still owes their results.
+// returning it plus whether it still needs to run. The lifecycle table's
+// replay column decides; ownerState is the journaled state of the job's
+// sweep, if it has one.
 func (m *Manager) rebuildJob(rec *jobstore.JobRecord, ownerState string) (j *Job, runnable bool) {
 	req, reqErr := DecodeJobRequest(rec.Request)
 	if len(rec.Request) == 0 {
@@ -1062,45 +1054,43 @@ func (m *Manager) rebuildJob(rec *jobstore.JobRecord, ownerState string) (j *Job
 		j.cacheKey = rec.CacheKey
 	}
 	if reqErr != nil {
-		j.finish(StateFailed, nil, fmt.Errorf("unrecoverable: %w", reqErr))
+		j.transition(StateFailed, nil, fmt.Errorf("unrecoverable: %w", reqErr))
 		return j, false
 	}
-	switch rec.State {
-	case string(StateCompleted):
+	state := JobState(rec.State)
+	switch lifecycle[state].replay {
+	case replayServe:
 		data, ok, err := m.store.GetArtifact(j.cacheKey, rec.ArtifactSHA)
+		var res *Result
 		if err == nil && ok {
-			if res, derr := decodeResult(data); derr == nil {
-				j.completeFromCache(res)
-				m.cache.put(j.cacheKey, res)
-				return j, false
-			} else {
-				err = derr
-			}
+			res, err = decodeResult(data)
 		}
-		if err != nil {
+		switch {
+		case err != nil:
 			m.log.Warn("completed job's artifact unusable, re-running", "job", j.id, "key", j.cacheKey, "err", err)
-		} else {
+			return j, true
+		case !ok:
 			m.log.Warn("completed job's artifact missing, re-running", "job", j.id, "key", j.cacheKey)
+			return j, true
 		}
-		return j, true
-	case string(StateFailed):
-		j.finish(StateFailed, nil, errors.New(rec.Error))
+		m.cache.put(j.cacheKey, res)
+		j.cacheHit = true
+		j.transition(StateCompleted, res, nil)
 		return j, false
-	case string(StateScreened):
-		// The planner's verdict is final: the dominating sibling's result
-		// is (or will be) in the store, and re-screening after a restart
-		// would re-run every calibration for nothing.
-		j.finish(StateScreened, nil, nil)
-		return j, false
-	case string(StateCanceled):
+	case replayRerunIfSweepOpen:
 		if rec.Sweep != "" && ownerState != string(SweepCompleted) {
-			return j, true // drain-canceled child of a sweep we will resume
+			return j, true
 		}
-		j.finish(StateCanceled, nil, errors.New(rec.Error))
-		return j, false
-	default: // queued, running, retrying, or a torn creation → run it
-		return j, true
+	case replayKeep:
+	default:
+		return j, true // interrupted, or a state this build does not know
 	}
+	var err error
+	if rec.Error != "" {
+		err = errors.New(rec.Error)
+	}
+	j.transition(state, nil, err)
+	return j, false
 }
 
 // parseSeq extracts the numeric suffix of a "prefix-%06d" identifier.

@@ -197,7 +197,7 @@ func TestRecoveryRerunsInterruptedJob(t *testing.T) {
 	}
 
 	// ID sequence resumes past the recovered jobs.
-	j3, err := m.Submit(req)
+	j3, _, err := m.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestCheckpointEntriesJournaled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := m.Submit(req)
+	j, _, err := m.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -515,7 +515,7 @@ func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := m.Submit(req)
+	j, _, err := m.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +547,7 @@ func TestPanickingJobFailsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := m.Submit(req)
+	j, _, err := m.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +566,7 @@ func TestPanickingJobFailsCleanly(t *testing.T) {
 	}
 	// The worker survived: a follow-up job (different ID, hook does not
 	// match) still completes.
-	j2, err := m.Submit(req)
+	j2, _, err := m.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -596,7 +596,7 @@ func TestJobTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := m.Submit(req)
+	j, _, err := m.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +626,7 @@ func TestManagerSubmitAfterDrainErrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Submit(req); !errors.Is(err, ErrDraining) {
+	if _, _, err := m.Submit(req); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit after drain: %v, want ErrDraining", err)
 	}
 }
@@ -674,13 +674,13 @@ func TestJobIDsSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, err := m.Submit(req)
+	j1, _, err := m.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req2 := req
 	req2.Config.Seed++
-	j2, err := m.Submit(req2)
+	j2, _, err := m.Submit(req2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -341,8 +341,7 @@ func (s *Sweep) finalize(state SweepState) bool {
 	if s.state.Terminal() {
 		return false
 	}
-	s.state = state
-	s.finished = time.Now()
+	s.state, s.finished = state, time.Now()
 	return true
 }
 

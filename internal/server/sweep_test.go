@@ -308,7 +308,7 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := m.Submit(req)
+	j, _, err := m.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestRetryExhaustionFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := m.Submit(req)
+	j, _, err := m.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestPermanentErrorsDoNotRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := m.Submit(req)
+	j, _, err := m.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
