@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint fmt-check ci race fuzz-smoke coloring-smoke serve server-smoke recovery-smoke estimate-smoke tournament-smoke fleet-smoke faultstudy bench bench-estimate bench-go bench-figures validate experiments clean
+.PHONY: all build test vet lint fmt-check ci cli-smoke race fuzz-smoke coloring-smoke serve server-smoke recovery-smoke estimate-smoke tournament-smoke fleet-smoke faultstudy bench bench-estimate bench-go bench-figures validate experiments clean
 
 all: build vet test
 
@@ -35,6 +35,7 @@ ci: fmt-check lint build
 	$(GO) test -race ./...
 	$(MAKE) race
 	$(MAKE) fuzz-smoke
+	$(MAKE) cli-smoke
 	$(MAKE) coloring-smoke
 	$(MAKE) server-smoke
 	$(MAKE) recovery-smoke
@@ -44,6 +45,34 @@ ci: fmt-check lint build
 	$(GO) run ./cmd/faultstudy -quick
 	$(MAKE) bench
 	$(MAKE) bench-estimate
+
+# CLI smoke: -h on every command and every figures subcommand must exit
+# 0 (a flag name registered twice panics at startup, so this catches
+# duplicates), and each figures subcommand runs once at tiny windows.
+CLI_COMMANDS = bench faultstudy figures forecast hybridsim simd tournament tracegen validate wearmap
+FIGURES = tables fig2 fig67 fig8 epochsweep fig9 energy appstudy
+CLI_TINY = -llc_sets 64 -scale 0.1 -l2_size_kb 16 -epoch_cycles 20000
+cli-smoke:
+	@mkdir -p cli-smoke-bin
+	@trap 'rm -rf cli-smoke-bin' EXIT; \
+	for c in $(CLI_COMMANDS); do \
+		$(GO) build -o cli-smoke-bin/$$c ./cmd/$$c || exit 1; \
+		cli-smoke-bin/$$c -h >/dev/null 2>&1 || { echo "cli-smoke: $$c -h failed"; exit 1; }; \
+	done; \
+	for f in $(FIGURES); do \
+		cli-smoke-bin/figures $$f -h >/dev/null 2>&1 || { echo "cli-smoke: figures $$f -h failed"; exit 1; }; \
+	done; \
+	for f in $(FIGURES); do \
+		case $$f in \
+		tables) args= ;; \
+		fig2) args="-samples 200" ;; \
+		fig8) args="-mixes 1 $(CLI_TINY)" ;; \
+		appstudy) args="$(CLI_TINY) -warmup 20000 -measure 50000" ;; \
+		*) args="-mixes 1 $(CLI_TINY) -warmup 20000 -measure 50000" ;; \
+		esac; \
+		cli-smoke-bin/figures $$f $$args >/dev/null || { echo "cli-smoke: figures $$f $$args failed"; exit 1; }; \
+	done; \
+	echo "cli-smoke: $(words $(CLI_COMMANDS)) commands and $(words $(FIGURES)) figures subcommands"
 
 # Dedicated race gate for the concurrency-heavy packages: -count=2
 # reruns defeat one-shot schedule luck. The simd job daemon's
@@ -298,21 +327,25 @@ bench-figures:
 validate:
 	$(GO) run ./cmd/validate
 
-# Regenerate the calibration outputs under results/ (tens of minutes).
+# Regenerate the calibration outputs under results/ (hours with the
+# all-mix forecast; tens of minutes without it).
 experiments:
 	mkdir -p results
-	$(GO) run ./cmd/compressprofile                     > results/fig2.txt
-	$(GO) run ./cmd/cpthsweep  -mixes 1,4,6,8           > results/fig67.txt
-	$(GO) run ./cmd/cpthsweep  -fig8 -mixes 1,4,6,8     > results/fig8.txt
-	$(GO) run ./cmd/thsweep    -mixes 1,4,6,8           > results/fig9.txt
+	$(GO) run ./cmd/figures fig2                        > results/fig2.txt
+	$(GO) run ./cmd/figures fig67  -mixes 1,4,6,8       > results/fig67.txt
+	$(GO) run ./cmd/figures fig8   -mixes 1,4,6,8       > results/fig8.txt
+	$(GO) run ./cmd/figures fig9   -mixes 1,4,6,8       > results/fig9.txt
 	$(GO) run ./cmd/forecast   -mixes 1,4,6,8 -step 0.05 > results/fig10a.txt
-	$(GO) run ./cmd/forecast   -mixes 1,4 -sram 3 -nvm 13 -policies core > results/fig10b.txt
-	$(GO) run ./cmd/forecast   -mixes 1,4 -cv 0.25 -policies core        > results/fig10c.txt
-	$(GO) run ./cmd/forecast   -mixes 1,4 -l2kb 256 -policies core       > results/fig11a.txt
-	$(GO) run ./cmd/forecast   -mixes 1,4 -nvmlat 1.5 -policies core     > results/fig11b.txt
-	$(GO) run ./cmd/cpthsweep  -epochsweep -mixes 1,4   > results/epochsweep.txt
-	$(GO) run ./cmd/energy     -mixes 1,4,6,8           > results/energy.txt
+	$(GO) run ./cmd/forecast   -mixes all -step 0.05     > results/fig10a_allmixes.txt
+	$(GO) run ./cmd/forecast   -mixes 1,4 -sram_ways 3 -nvm_ways 13 -policies core > results/fig10b.txt
+	$(GO) run ./cmd/forecast   -mixes 1,4 -endurance_cv 0.25 -policies core        > results/fig10c.txt
+	$(GO) run ./cmd/forecast   -mixes 1,4 -l2_size_kb 256 -policies core           > results/fig11a.txt
+	$(GO) run ./cmd/forecast   -mixes 1,4 -nvm_latency_factor 1.5 -policies core   > results/fig11b.txt
+	$(GO) run ./cmd/forecast   -mixes 1,4 -nvm_ways 10 -policies SRAM16,LHybrid,CP_SD,CP_SD_Th8 > results/fig11c_10w.txt
+	$(GO) run ./cmd/forecast   -mixes 1,4 -nvm_ways 11 -policies SRAM16,LHybrid,CP_SD,CP_SD_Th8 > results/fig11c_11w.txt
+	$(GO) run ./cmd/figures epochsweep -mixes 1,4       > results/epochsweep.txt
+	$(GO) run ./cmd/figures energy -mixes 1,4,6,8       > results/energy.txt
 
 clean:
 	rm -f test_output.txt bench_output.txt BENCH_hotpath.json BENCH_estimate.json simd-smoke simd-recovery simd-estimate simd-fleet tournament-smoke-1.txt tournament-smoke-2.txt
-	rm -rf recovery-smoke-data fleet-smoke-data
+	rm -rf recovery-smoke-data fleet-smoke-data cli-smoke-bin

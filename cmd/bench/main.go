@@ -8,11 +8,17 @@
 //	bench -quick                               # CI baseline, writes BENCH_hotpath.json
 //	bench -quick -mixes 1,2 -policies BH,CP_SD # a smaller cross
 //	bench -cpuprofile cpu.out -memprofile mem.out -quick
+//
+// The hot path runs over DefaultConfig, or QuickConfig under -quick, with
+// any -config file and config flag (named by its core.Config JSON tag)
+// applied on top.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -25,12 +31,15 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("bench: ")
+	cfg := core.DefaultConfig()
+	cf := cliutil.BindConfig(flag.CommandLine, &cfg)
 	quick := flag.Bool("quick", false, "small configuration, short windows")
-	mixes := flag.String("mixes", "1", `mixes to bench: "all" or comma-separated 1-based list`)
+	mixes := flag.String("mixes", "1", cliutil.MixesUsage)
 	policies := flag.String("policies", "all", `policies to bench: "all" or comma-separated names`)
 	warmup := flag.Uint64("warmup", 0, "warm-up cycles (0 = preset default)")
 	measure := flag.Uint64("measure", 0, "measured cycles (0 = preset default)")
-	seed := flag.Uint64("seed", 1, "workload and endurance seed")
 	estimate := flag.Bool("estimate", false, "bench the POST /v1/estimate cached fast path instead of the hot path (gates: p50 < 1 ms, 0 allocs per cache lookup)")
 	estIters := flag.Int("estimate-iters", 2000, "cached-estimate requests to measure with -estimate")
 	out := flag.String("out", "", `JSON report path ("" selects BENCH_hotpath.json, or BENCH_estimate.json with -estimate; "none" disables)`)
@@ -40,28 +49,24 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit JSON on stdout")
 	flag.Parse()
 
-	cfg := core.DefaultConfig()
 	w, m := uint64(2_000_000), uint64(2_000_000)
 	if *quick {
 		cfg = core.QuickConfig()
 		w, m = 300_000, 300_000
 	}
-	if *warmup > 0 {
-		w = *warmup
+	if err := cf.Apply(); err != nil {
+		log.Fatal(err)
 	}
-	if *measure > 0 {
-		m = *measure
-	}
-	cfg.Seed = *seed
+	w, m = cmp.Or(*warmup, w), cmp.Or(*measure, m)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -75,17 +80,17 @@ func main() {
 		var err error
 		rep, err = estimateBench(*estIters)
 		if rep == nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		gateErr = err // report first, then fail the gate
 	} else {
 		mixList, err := cliutil.ParseMixes(*mixes)
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		polList, err := parsePolicies(*policies)
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		opt := experiments.HotPathOptions{
 			Base:     cfg,
@@ -97,7 +102,7 @@ func main() {
 		var rows []experiments.HotPathRow
 		rows, results, err = experiments.HotPathBench(opt)
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		rep = experiments.HotPathReport(opt, rows, results)
 	}
@@ -105,11 +110,11 @@ func main() {
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		f.Close()
 	}
@@ -121,24 +126,24 @@ func main() {
 	if path != "none" {
 		f, err := os.Create(path)
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		if err := rep.Write(f, report.JSON); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "bench: wrote %s\n", path)
 	}
 	if err := rep.Write(os.Stdout, report.FormatOf(*jsonOut, *csvOut)); err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	if err := cliutil.ErrOf(results); err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	if gateErr != nil {
-		fatal(gateErr)
+		log.Fatal(gateErr)
 	}
 }
 
@@ -164,9 +169,4 @@ func parsePolicies(arg string) ([]string, error) {
 		return nil, fmt.Errorf("empty policy list")
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "bench:", err)
-	os.Exit(1)
 }

@@ -8,11 +8,17 @@
 //	faultstudy -quick                      # fast degradation curve to 50%
 //	faultstudy -policy CP_SD -mix 4        # full-size study
 //	faultstudy -spec campaign.json -json   # replay a declarative campaign
+//
+// Every scalar core.Config field is a flag named by its JSON tag; the
+// continuous invariant checker (-check_every) defaults to every 10,000
+// LLC accesses.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 
 	"repro/internal/check"
@@ -23,89 +29,72 @@ import (
 )
 
 type studyOptions struct {
-	Policy     string
-	Mix        int // 0-based
-	Seed       uint64
-	SpecPath   string  // campaign spec JSON; empty = capacity ramp
-	Target     float64 // ramp: final effective capacity fraction
-	Step       float64 // ramp: capacity drop per step
-	CheckEvery uint64  // continuous checker interval (0 = step-only checks)
-	Coloring   string  // set-coloring spec ("" = off)
-	Quick      bool
-	Warmup     uint64
-	Measure    uint64
+	Config   core.Config
+	SpecPath string  // campaign spec JSON; empty = capacity ramp
+	Target   float64 // ramp: final effective capacity fraction
+	Step     float64 // ramp: capacity drop per step
+	Warmup   uint64
+	Measure  uint64
+	Format   report.Format
 }
 
 func main() {
-	nMixes := len(core.AllMixes())
-	policy := flag.String("policy", "CP_SD", "insertion policy")
-	mix := flag.Int("mix", 1, fmt.Sprintf("mix number (1-%d)", nMixes))
-	seed := flag.Uint64("seed", 1, "campaign and workload seed")
-	spec := flag.String("spec", "", "campaign spec JSON file (default: capacity ramp)")
-	target := flag.Float64("target", 0.5, "ramp target effective capacity fraction")
-	step := flag.Float64("step", 0.1, "ramp capacity drop per step")
-	checkEvery := flag.Uint64("checkevery", 10_000, "run the invariant checker every N LLC accesses (0 disables)")
-	coloring := flag.String("coloring", "", `set coloring: "xor:mask=N", "rotate:interval=N,step=N", "wear:interval=N,pairs=N" or "off"`)
-	quick := flag.Bool("quick", false, "small configuration, short windows")
-	warmup := flag.Uint64("warmup", 0, "warm-up cycles (0 = preset default)")
-	measure := flag.Uint64("measure", 0, "measured cycles per step (0 = preset default)")
-	csvOut := flag.Bool("csv", false, "emit CSV")
-	jsonOut := flag.Bool("json", false, "emit JSON")
-	flag.Parse()
-
-	if *mix < 1 || *mix > nMixes {
-		fatal(fmt.Errorf("mix %d outside 1-%d", *mix, nMixes))
-	}
-	opt := studyOptions{
-		Policy:     *policy,
-		Mix:        *mix - 1,
-		Seed:       *seed,
-		SpecPath:   *spec,
-		Target:     *target,
-		Step:       *step,
-		CheckEvery: *checkEvery,
-		Coloring:   *coloring,
-		Quick:      *quick,
-		Warmup:     *warmup,
-		Measure:    *measure,
+	log.SetFlags(0)
+	log.SetPrefix("faultstudy: ")
+	opt, err := parseArgs(os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
 	}
 	rep, violations, err := runStudy(opt)
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
-	if err := rep.Write(os.Stdout, report.FormatOf(*jsonOut, *csvOut)); err != nil {
-		fatal(err)
+	if err := rep.Write(os.Stdout, opt.Format); err != nil {
+		log.Fatal(err)
 	}
 	if violations > 0 {
-		fmt.Fprintf(os.Stderr, "faultstudy: %d invariant violations\n", violations)
-		os.Exit(1)
+		log.Fatalf("%d invariant violations", violations)
 	}
+}
+
+// parseArgs resolves the command line: the preset (DefaultConfig, or
+// QuickConfig with short windows under -quick, both with the continuous
+// checker on every 10,000 accesses), then -config, then the flags set
+// explicitly.
+func parseArgs(args []string) (studyOptions, error) {
+	fs := flag.NewFlagSet("faultstudy", flag.ExitOnError)
+	cfg := core.DefaultConfig()
+	cfg.CheckEvery = 10_000
+	cf := cliutil.BindConfig(fs, &cfg).BindRun()
+	spec := fs.String("spec", "", "campaign spec JSON file (default: capacity ramp)")
+	target := fs.Float64("target", 0.5, "ramp target effective capacity fraction")
+	step := fs.Float64("step", 0.1, "ramp capacity drop per step")
+	quick := fs.Bool("quick", false, "small configuration, short windows")
+	warmup := fs.Uint64("warmup", 0, "warm-up cycles (0 = preset default)")
+	measure := fs.Uint64("measure", 0, "measured cycles per step (0 = preset default)")
+	csvOut := fs.Bool("csv", false, "emit CSV")
+	jsonOut := fs.Bool("json", false, "emit JSON")
+	fs.Parse(args) // exits on a bad flag or -h
+	opt := studyOptions{SpecPath: *spec, Target: *target, Step: *step,
+		Warmup: 2_000_000, Measure: 2_000_000, Format: report.FormatOf(*jsonOut, *csvOut)}
+	if *quick {
+		cfg = core.QuickConfig()
+		cfg.CheckEvery = 10_000
+		opt.Warmup, opt.Measure = 300_000, 300_000
+	}
+	if err := cf.Apply(); err != nil {
+		return studyOptions{}, err
+	}
+	opt.Warmup, opt.Measure = cmp.Or(*warmup, opt.Warmup), cmp.Or(*measure, opt.Measure)
+	opt.Config = cfg
+	return opt, nil
 }
 
 // runStudy executes the campaign and returns the report plus the total
 // number of invariant violations observed (step checks and the
 // continuous checker combined).
 func runStudy(opt studyOptions) (*report.Report, int, error) {
-	cfg := core.DefaultConfig()
-	warmup, measure := uint64(2_000_000), uint64(2_000_000)
-	if opt.Quick {
-		cfg = core.QuickConfig()
-		warmup, measure = 300_000, 300_000
-	}
-	if opt.Warmup > 0 {
-		warmup = opt.Warmup
-	}
-	if opt.Measure > 0 {
-		measure = opt.Measure
-	}
-	cfg.PolicyName = opt.Policy
-	cfg.MixID = opt.Mix
-	cfg.Seed = opt.Seed
-	cfg.CheckEvery = opt.CheckEvery
-	// ApplyColoring validates the whole config (coloring included).
-	if err := cliutil.ApplyColoring(&cfg, opt.Coloring); err != nil {
-		return nil, 0, err
-	}
+	cfg := opt.Config
 	sys, err := cfg.Build()
 	if err != nil {
 		return nil, 0, err
@@ -121,26 +110,26 @@ func runStudy(opt studyOptions) (*report.Report, int, error) {
 		if opt.Step <= 0 || opt.Target <= 0 || opt.Target >= 1 {
 			return nil, 0, fmt.Errorf("faultstudy: bad ramp step=%v target=%v", opt.Step, opt.Target)
 		}
-		spec = faultinject.CapacityRamp(opt.Seed, 1-opt.Step, opt.Target, opt.Step)
+		spec = faultinject.CapacityRamp(cfg.Seed, 1-opt.Step, opt.Target, opt.Step)
 	}
 	camp, err := faultinject.NewCampaign(sys.LLC().Array(), spec)
 	if err != nil {
 		return nil, 0, err
 	}
 
-	rep := report.NewReport(fmt.Sprintf("fault-injection study: %s, mix %d", opt.Policy, opt.Mix+1))
-	rep.AddField("policy", opt.Policy)
-	rep.AddField("mix", opt.Mix+1)
-	rep.AddField("seed", opt.Seed)
+	rep := report.NewReport(fmt.Sprintf("fault-injection study: %s, mix %d", cfg.PolicyName, cfg.MixID+1))
+	rep.AddField("policy", cfg.PolicyName)
+	rep.AddField("mix", cfg.MixID+1)
+	rep.AddField("seed", cfg.Seed)
 	rep.AddField("campaign_steps", len(spec.Steps))
 
 	tab := report.New("degradation curve",
 		"step", "kind", "capacity", "live_frames", "bytes_disabled",
 		"frames_killed", "hit_rate", "mean_ipc", "violations")
 
-	sys.Run(warmup)
+	sys.Run(opt.Warmup)
 	llc := sys.LLC()
-	base := sys.Run(measure)
+	base := sys.Run(opt.Measure)
 	tab.AddRow(0, "baseline", llc.EffectiveCapacityFraction(), llc.Array().LiveFrames(),
 		0, 0, base.LLC.HitRate(), base.MeanIPC, 0)
 
@@ -160,7 +149,7 @@ func runStudy(opt studyOptions) (*report.Report, int, error) {
 			viol.AddRow(res.Index+1, v.Invariant, v.Detail)
 		}
 		totalViolations += len(vs)
-		r := sys.Run(measure)
+		r := sys.Run(opt.Measure)
 		tab.AddRow(res.Index+1, string(res.Kind), res.Capacity, res.LiveFrames,
 			res.BytesDisabled, res.FramesKilled, r.LLC.HitRate(), r.MeanIPC, len(vs))
 	}
@@ -175,9 +164,4 @@ func runStudy(opt studyOptions) (*report.Report, int, error) {
 	rep.AddField("final_capacity", llc.EffectiveCapacityFraction())
 	rep.AddField("total_violations", totalViolations)
 	return rep, totalViolations, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "faultstudy:", err)
-	os.Exit(1)
 }

@@ -8,25 +8,24 @@ import (
 	"repro/internal/report"
 )
 
-func quickOpts() studyOptions {
-	return studyOptions{
-		Policy:     "CP_SD",
-		Mix:        0,
-		Seed:       11,
-		Target:     0.5,
-		Step:       0.125,
-		CheckEvery: 5_000,
-		Quick:      true,
-		Warmup:     150_000,
-		Measure:    150_000,
+var quickArgs = []string{"-quick", "-policy", "CP_SD", "-mix", "1", "-seed", "11",
+	"-target", "0.5", "-step", "0.125", "-check_every", "5000",
+	"-warmup", "150000", "-measure", "150000"}
+
+func quickOpts(t *testing.T, extra ...string) studyOptions {
+	t.Helper()
+	opt, err := parseArgs(append(append([]string(nil), quickArgs...), extra...))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return opt
 }
 
 // TestStudyDeterminism: two same-seed studies must emit bit-identical
 // reports — the acceptance bar for replayable fault campaigns.
 func TestStudyDeterminism(t *testing.T) {
 	render := func() string {
-		rep, violations, err := runStudy(quickOpts())
+		rep, violations, err := runStudy(quickOpts(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +45,7 @@ func TestStudyDeterminism(t *testing.T) {
 }
 
 func TestStudyReachesTarget(t *testing.T) {
-	rep, violations, err := runStudy(quickOpts())
+	rep, violations, err := runStudy(quickOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,19 +76,13 @@ func TestStudyReachesTarget(t *testing.T) {
 }
 
 func TestStudyRejectsBadConfig(t *testing.T) {
-	opt := quickOpts()
-	opt.Policy = "NOPE"
-	if _, _, err := runStudy(opt); err == nil || !strings.Contains(err.Error(), "unknown policy") {
+	if _, err := parseArgs(append(append([]string(nil), quickArgs...), "-policy", "NOPE")); err == nil || !strings.Contains(err.Error(), "unknown policy") {
 		t.Fatalf("bad policy not rejected: %v", err)
 	}
-	opt = quickOpts()
-	opt.Step = 0
-	if _, _, err := runStudy(opt); err == nil {
+	if _, _, err := runStudy(quickOpts(t, "-step", "0")); err == nil {
 		t.Fatal("zero step accepted")
 	}
-	opt = quickOpts()
-	opt.SpecPath = "does-not-exist.json"
-	if _, _, err := runStudy(opt); err == nil {
+	if _, _, err := runStudy(quickOpts(t, "-spec", "does-not-exist.json")); err == nil {
 		t.Fatal("missing spec accepted")
 	}
 }

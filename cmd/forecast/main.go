@@ -6,19 +6,23 @@
 //
 // Examples:
 //
-//	forecast                         # Fig 10a curve set, quick mixes
-//	forecast -mixes all              # full Table V workload
-//	forecast -sram 3 -nvm 13         # Fig 10b
-//	forecast -cv 0.25                # Fig 10c
-//	forecast -l2kb 256               # Fig 11a
-//	forecast -nvmlat 1.5             # Fig 11b
-//	forecast -nvm 10                 # Fig 11c equal-storage point
+//	forecast                                  # Fig 10a curve set, quick mixes
+//	forecast -mixes all                       # the ten Table V mixes
+//	forecast -sram_ways 3 -nvm_ways 13        # Fig 10b
+//	forecast -endurance_cv 0.25               # Fig 10c
+//	forecast -l2_size_kb 256                  # Fig 11a
+//	forecast -nvm_latency_factor 1.5          # Fig 11b
+//	forecast -nvm_ways 10                     # Fig 11c equal-storage point
 //	forecast -json | jq '.tables[0]'
+//
+// Every scalar core.Config field is a flag named by its JSON tag, over
+// DefaultConfig and any -config file.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"log"
 	"math"
 	"os"
 
@@ -30,67 +34,48 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("forecast: ")
 	cfg := core.DefaultConfig()
+	cf := cliutil.BindConfig(flag.CommandLine, &cfg)
 	policies := flag.String("policies", "standard", `comma-separated curve labels, "standard" or "core"`)
-	mixesFlag := flag.String("mixes", "1,4", fmt.Sprintf(`comma-separated mix numbers (1-%d) or "all"`, len(core.AllMixes())))
-	sram := flag.Int("sram", cfg.SRAMWays, "SRAM ways")
-	nvmWays := flag.Int("nvm", cfg.NVMWays, "NVM ways")
-	cv := flag.Float64("cv", cfg.EnduranceCV, "endurance coefficient of variation")
-	mean := flag.Float64("mean", cfg.EnduranceMean, "endurance mean writes")
-	l2kb := flag.Int("l2kb", cfg.L2SizeKB, "L2 size in KB")
-	nvmlat := flag.Float64("nvmlat", cfg.NVMLatencyFactor, "NVM data-array latency factor")
-	scale := flag.Float64("scale", cfg.Scale, "workload footprint scale")
-	sets := flag.Int("sets", cfg.LLCSets, "LLC sets")
-	phase := flag.Uint64("phase", 10_000_000, "measured cycles per forecast phase")
-	warm := flag.Uint64("warmup", 2_000_000, "warm-up cycles per phase")
-	step := flag.Float64("step", 0.025, "capacity drop per prediction phase")
-	rotate := flag.Bool("rotate", false, "enable Start-Gap-style inter-set wear leveling")
-	coloring := flag.String("coloring", "", `set coloring: "xor:mask=N", "rotate:interval=N,step=N", "wear:interval=N,pairs=N" or "off"`)
+	mixesFlag := flag.String("mixes", "1,4", cliutil.MixesUsage)
+	fc := forecast.DefaultConfig()
+	flag.Uint64Var(&fc.PhaseCycles, "phase", 10_000_000, "measured cycles per forecast phase")
+	flag.Uint64Var(&fc.WarmupCycles, "warmup", 2_000_000, "warm-up cycles per phase")
+	flag.Float64Var(&fc.CapacityStep, "step", 0.025, "capacity drop per prediction phase")
+	flag.BoolVar(&fc.InterSetRotation, "rotate", false, "enable Start-Gap-style inter-set wear leveling")
 	analyticFast := flag.Bool("analytic", false, "use the analytic fast path: one calibration window per cell instead of the full forecast loop (-warmup sizes the warm-up, -phase the calibration window)")
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit JSON")
 	flag.Parse()
-
-	cfg.SRAMWays, cfg.NVMWays = *sram, *nvmWays
-	cfg.EnduranceCV = *cv
-	cfg.EnduranceMean = *mean
-	cfg.L2SizeKB = *l2kb
-	cfg.NVMLatencyFactor = *nvmlat
-	cfg.Scale = *scale
-	cfg.LLCSets = *sets
+	if err := cf.Apply(); err != nil {
+		log.Fatal(err)
+	}
 	// Both mechanisms remap set indices; layering them would make the wear
 	// attribution ambiguous, so the combination is rejected outright.
-	if *rotate && *coloring != "" && *coloring != "off" {
-		fatal(fmt.Errorf("-rotate and -coloring are mutually exclusive wear-leveling mechanisms"))
-	}
-	if err := cliutil.ApplyColoring(&cfg, *coloring); err != nil {
-		fatal(err)
+	if fc.InterSetRotation && cfg.Coloring != nil {
+		log.Fatalf("-rotate and -coloring are mutually exclusive wear-leveling mechanisms")
 	}
 
 	specs, err := experiments.SelectForecastSpecs(*policies)
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	mixes, err := cliutil.ParseMixes(*mixesFlag)
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
-
-	fcfg := forecast.DefaultConfig()
-	fcfg.PhaseCycles = *phase
-	fcfg.WarmupCycles = *warm
-	fcfg.CapacityStep = *step
-	fcfg.InterSetRotation = *rotate
 
 	var fs []experiments.PolicyForecast
 	var results []cliutil.TaskResult
 	if *analyticFast {
-		fs, results, err = experiments.AnalyticComparison(cfg, specs, mixes, *warm, *phase)
+		fs, results, err = experiments.AnalyticComparison(cfg, specs, mixes, fc.WarmupCycles, fc.PhaseCycles)
 	} else {
-		fs, results, err = experiments.ForecastComparison(cfg, specs, mixes, fcfg)
+		fs, results, err = experiments.ForecastComparison(cfg, specs, mixes, fc)
 	}
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 
 	// Normalise to the SRAM16 upper bound if it was run.
@@ -163,11 +148,6 @@ func main() {
 	}
 	cliutil.AddRunSummary(rep, results)
 	if err := rep.Write(os.Stdout, report.FormatOf(*jsonOut, *csvOut)); err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "forecast:", err)
-	os.Exit(1)
 }

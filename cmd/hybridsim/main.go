@@ -9,12 +9,14 @@
 //	hybridsim -policy CA_RWR -cpth 40 -measure 20000000
 //	hybridsim -policy CP_SD_Th -th 8 -capacity 0.8
 //	hybridsim -config sweep-point.json            # full config from JSON
+//	hybridsim -l2_size_kb 256 -nvm_latency_factor 1.5
 //	hybridsim -trace mix4 -mix 4                  # replay tracegen -mix output
 //	hybridsim -json | jq .fields.mean_ipc
-//	hybridsim -epochs -csv > epochs.csv
+//	hybridsim -epochs -epoch_cycles 500000 -csv > epochs.csv
 //
-// With -config the file (core.Config JSON, unknown fields rejected) is
-// loaded first and explicitly set flags override it. With -trace the
+// Every scalar core.Config field is a flag named by its JSON tag. With
+// -config the file (core.Config JSON, unknown fields rejected) is
+// loaded over the defaults and explicitly set flags override it. With -trace the
 // per-core stimulus is replayed from tracegen's prefix.coreN.trc files
 // (gzip-compressed traces are detected transparently) instead of being
 // generated live; mix, seed and scale must match the recording.
@@ -23,7 +25,7 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
+	"log"
 	"os"
 
 	"repro/internal/check"
@@ -33,22 +35,11 @@ import (
 )
 
 func main() {
-	def := core.DefaultConfig()
-	configPath := flag.String("config", "", "load a core.Config JSON file (flags set explicitly still override)")
+	log.SetFlags(0)
+	log.SetPrefix("hybridsim: ")
+	cfg := core.DefaultConfig()
+	cf := cliutil.BindConfig(flag.CommandLine, &cfg).BindRun()
 	tracePrefix := flag.String("trace", "", "replay recorded traces from prefix.coreN.trc instead of live generation")
-	policyName := flag.String("policy", def.PolicyName, "insertion policy (SRAM16, SRAM4, BH, BH_CP, CA, CA_RWR, CP_SD, CP_SD_Th, LHybrid, TAP)")
-	mix := flag.Int("mix", 1, fmt.Sprintf("mix number (1-%d: Table V plus skewed-traffic scenarios)", len(core.AllMixes())))
-	seed := flag.Uint64("seed", def.Seed, "deterministic seed")
-	scale := flag.Float64("scale", def.Scale, "workload footprint scale")
-	sets := flag.Int("sets", def.LLCSets, "LLC sets")
-	sram := flag.Int("sram", def.SRAMWays, "SRAM ways")
-	nvmWays := flag.Int("nvm", def.NVMWays, "NVM ways")
-	l2kb := flag.Int("l2kb", def.L2SizeKB, "L2 size in KB")
-	cpth := flag.Int("cpth", def.CPth, "fixed compression threshold for CA/CA_RWR")
-	th := flag.Float64("th", def.Th, "CP_SD_Th hit-sacrifice percentage")
-	tw := flag.Float64("tw", def.Tw, "CP_SD_Th write-reduction percentage")
-	cv := flag.Float64("cv", def.EnduranceCV, "endurance coefficient of variation")
-	nvmlat := flag.Float64("nvmlat", def.NVMLatencyFactor, "NVM data-array latency factor")
 	capacity := flag.Float64("capacity", 1.0, "pre-age the NVM part to this capacity fraction")
 	warmup := flag.Uint64("warmup", 2_000_000, "warm-up cycles")
 	measure := flag.Uint64("measure", 10_000_000, "measured cycles")
@@ -56,73 +47,9 @@ func main() {
 	csvOut := flag.Bool("csv", false, "emit the report as CSV")
 	epochs := flag.Bool("epochs", false, "include the per-epoch series (IPC, LLC traffic, NVM bytes, CPth)")
 	allMetrics := flag.Bool("metrics", false, "include the full registry delta of the measured window")
-	prefetch := flag.Bool("prefetch", false, "enable the L2 stride prefetcher")
-	rrip := flag.Bool("rrip", false, "use fit-RRIP NVM replacement instead of fit-LRU")
-	checkEvery := flag.Uint64("checkevery", 0, "run the invariant checker every N LLC accesses (0 disables)")
-	coloring := flag.String("coloring", "", `set coloring: "xor:mask=N", "rotate:interval=N,step=N", "wear:interval=N,pairs=N" or "off"`)
 	flag.Parse()
-
-	cfg := def
-	if *configPath != "" {
-		data, err := os.ReadFile(*configPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := core.UnmarshalStrict(data, &cfg); err != nil {
-			fatal(fmt.Errorf("%s: %w", *configPath, err))
-		}
-	}
-
-	// Explicitly set flags win over the config file; with no -config this
-	// reduces to the classic flags-over-defaults behaviour.
-	coloringSet := false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "policy":
-			cfg.PolicyName = *policyName
-		case "mix":
-			cfg.MixID = *mix - 1
-		case "seed":
-			cfg.Seed = *seed
-		case "scale":
-			cfg.Scale = *scale
-		case "sets":
-			cfg.LLCSets = *sets
-		case "sram":
-			cfg.SRAMWays = *sram
-		case "nvm":
-			cfg.NVMWays = *nvmWays
-		case "l2kb":
-			cfg.L2SizeKB = *l2kb
-		case "cpth":
-			cfg.CPth = *cpth
-		case "th":
-			cfg.Th = *th
-		case "tw":
-			cfg.Tw = *tw
-		case "cv":
-			cfg.EnduranceCV = *cv
-		case "nvmlat":
-			cfg.NVMLatencyFactor = *nvmlat
-		case "prefetch":
-			cfg.EnablePrefetcher = *prefetch
-		case "rrip":
-			cfg.NVMRRIP = *rrip
-		case "checkevery":
-			cfg.CheckEvery = *checkEvery
-		case "coloring":
-			coloringSet = true
-		}
-	})
-	// An explicit -coloring flag replaces (or with "off", clears) any
-	// coloring block loaded from -config; ApplyColoring validates.
-	if coloringSet {
-		if err := cliutil.ApplyColoring(&cfg, *coloring); err != nil {
-			fatal(err)
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
+	if err := cf.Apply(); err != nil {
+		log.Fatal(err)
 	}
 
 	var h *core.RunHandle
@@ -130,14 +57,14 @@ func main() {
 	if *tracePrefix != "" {
 		progs, perr := cliutil.LoadMixPrograms(*tracePrefix, cfg.MixID, cfg.Seed, cfg.Scale)
 		if perr != nil {
-			fatal(perr)
+			log.Fatal(perr)
 		}
 		h, err = cfg.NewRunHandleFromPrograms(progs)
 	} else {
 		h, err = cfg.NewRunHandle()
 	}
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 
 	if *capacity < 1 {
@@ -145,7 +72,7 @@ func main() {
 	}
 	s, err := h.MeasureCtx(context.Background(), *warmup, *measure, core.RunHooks{})
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	cpthWinner := -1
 	if w, ok := h.DuelingWinner(); ok {
@@ -163,14 +90,9 @@ func main() {
 		checkErr = chk.Err()
 	}
 	if err := rep.Write(os.Stdout, report.FormatOf(*jsonOut, *csvOut)); err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	if checkErr != nil {
-		fatal(checkErr)
+		log.Fatal(checkErr)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hybridsim:", err)
-	os.Exit(1)
 }

@@ -3,25 +3,26 @@
 // N-way tournament meta-policies — runs the aging forecast across the
 // selected mixes, and the standings are ranked on the lifetime axis with
 // the young-cache IPC axis alongside, through the shared report sink.
-// A user-defined bracket (the same JSON object `simd` jobs carry in the
-// config's "tournament" field) can be substituted for the TOURNAMENT
-// entry's default bracket.
+// A user-defined bracket replaces the TOURNAMENT entry's default one: a
+// -config file carries it in the "tournament" field, the same object a
+// `simd` job config carries. Every scalar core.Config field is a flag
+// named by its JSON tag.
 //
 // Examples:
 //
 //	tournament                         # default league, quick mixes
-//	tournament -mixes all              # full Table V workload
+//	tournament -mixes all              # the ten Table V mixes
 //	tournament -policies SRRIP,BRRIP,DRRIP,CP_SD
-//	tournament -bracket bracket.json   # custom TOURNAMENT bracket
+//	tournament -config bracket.json    # custom TOURNAMENT bracket
 //	tournament -quick                  # CI smoke preset (small, fast)
 //	tournament -json | jq '.tables[0]'
 package main
 
 import (
-	"bytes"
-	"encoding/json"
+	"cmp"
 	"flag"
 	"fmt"
+	"log"
 	"math"
 	"os"
 	"strings"
@@ -34,62 +35,37 @@ import (
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("tournament: ")
 	cfg := core.DefaultConfig()
+	cf := cliutil.BindConfig(flag.CommandLine, &cfg)
 	policiesFlag := flag.String("policies", "league", `comma-separated policy names, or "league" for the default standings`)
-	mixesFlag := flag.String("mixes", "1,4", `comma-separated mix numbers (1-10) or "all"`)
-	bracketPath := flag.String("bracket", "", "JSON file with a tournament bracket for the TOURNAMENT entry")
-	sets := flag.Int("sets", cfg.LLCSets, "LLC sets")
-	scale := flag.Float64("scale", cfg.Scale, "workload footprint scale")
-	mean := flag.Float64("mean", cfg.EnduranceMean, "endurance mean writes")
-	cv := flag.Float64("cv", cfg.EnduranceCV, "endurance coefficient of variation")
-	cpth := flag.Int("cpth", cfg.CPth, "fixed compression threshold for non-dueling policies")
-	phase := flag.Uint64("phase", 10_000_000, "measured cycles per forecast phase")
-	warm := flag.Uint64("warmup", 2_000_000, "warm-up cycles per phase")
-	step := flag.Float64("step", 0.05, "capacity drop per prediction phase")
+	mixesFlag := flag.String("mixes", "", cliutil.MixesUsage+` ("" = preset default: 1,4, or 1 under -quick)`)
+	phase := flag.Uint64("phase", 0, "measured cycles per forecast phase (0 = preset default)")
+	warm := flag.Uint64("warmup", 0, "warm-up cycles per phase (0 = preset default)")
+	step := flag.Float64("step", 0, "capacity drop per prediction phase (0 = preset default)")
 	quick := flag.Bool("quick", false, "CI smoke preset: small cache, short phases, accelerated endurance, mix 1 only")
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit JSON")
 	flag.Parse()
 
-	cfg.LLCSets = *sets
-	cfg.Scale = *scale
-	cfg.EnduranceMean = *mean
-	cfg.EnduranceCV = *cv
-	cfg.CPth = *cpth
-
-	fcfg := forecast.DefaultConfig()
-	fcfg.PhaseCycles = *phase
-	fcfg.WarmupCycles = *warm
-	fcfg.CapacityStep = *step
-
-	mixArg := *mixesFlag
+	fc := forecast.DefaultConfig()
+	fc.PhaseCycles, fc.WarmupCycles, fc.CapacityStep = 10_000_000, 2_000_000, 0.05
+	mixArg := "1,4"
 	if *quick {
-		q := core.QuickConfig()
-		cfg.LLCSets = q.LLCSets
-		cfg.Scale = q.Scale
-		cfg.L2SizeKB = q.L2SizeKB
-		cfg.EpochCycles = q.EpochCycles
+		cfg = core.QuickConfig()
 		cfg.EnduranceMean = 60_000
 		cfg.EnduranceCV = 0.3
-		fcfg.PhaseCycles = 300_000
-		fcfg.WarmupCycles = 100_000
-		fcfg.CapacityStep = 0.1
-		fcfg.MaxPhases = 8
-		if mixArg == "1,4" {
-			mixArg = "1"
-		}
+		fc.PhaseCycles, fc.WarmupCycles, fc.CapacityStep = 300_000, 100_000, 0.1
+		fc.MaxPhases = 8
+		mixArg = "1"
 	}
-
-	if *bracketPath != "" {
-		tc, err := loadBracket(*bracketPath)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Tournament = tc
+	if err := cf.Apply(); err != nil {
+		log.Fatal(err)
 	}
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
+	// Flags left at zero keep the preset's value.
+	fc.PhaseCycles, fc.WarmupCycles = cmp.Or(*phase, fc.PhaseCycles), cmp.Or(*warm, fc.WarmupCycles)
+	fc.CapacityStep, mixArg = cmp.Or(*step, fc.CapacityStep), cmp.Or(*mixesFlag, mixArg)
 
 	names := experiments.DefaultLeague()
 	if *policiesFlag != "league" {
@@ -102,11 +78,11 @@ func main() {
 	}
 	specs, err := experiments.LeagueSpecs(names)
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	mixes, err := cliutil.ParseMixes(mixArg)
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	// Every league entry must validate before any cell runs, so a bad
 	// bracket or threshold fails in milliseconds, not mid-league.
@@ -114,13 +90,13 @@ func main() {
 		c := cfg
 		c.PolicyName = name
 		if err := c.Validate(); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 	}
 
-	fs, results, err := experiments.ForecastComparison(cfg, specs, mixes, fcfg)
+	fs, results, err := experiments.ForecastComparison(cfg, specs, mixes, fc)
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 	rows := experiments.RankLeague(fs)
 
@@ -186,7 +162,7 @@ func main() {
 
 	cliutil.AddRunSummary(rep, results)
 	if err := rep.Write(os.Stdout, report.FormatOf(*jsonOut, *csvOut)); err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
 }
 
@@ -195,28 +171,4 @@ func lifeStr(months float64) string {
 		return "inf"
 	}
 	return fmt.Sprintf("%.4g", months)
-}
-
-// loadBracket strict-decodes a tournament bracket document, the same
-// object a simd job config carries in its "tournament" field.
-func loadBracket(path string) (*core.TournamentConfig, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var tc core.TournamentConfig
-	if err := dec.Decode(&tc); err != nil {
-		return nil, fmt.Errorf("bracket %s: %w", path, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("bracket %s: trailing data after JSON document", path)
-	}
-	return &tc, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tournament:", err)
-	os.Exit(1)
 }

@@ -1,7 +1,9 @@
-// Command tracegen records the memory-access trace of a synthetic SPEC
-// application (or a whole Table V mix) to the compact binary format of
-// internal/trace, enabling HyCSim-style trace-driven studies where every
-// policy configuration replays the identical stimulus.
+// Command tracegen records the memory-access trace of a synthetic
+// application (or a whole mix: Table V or a skewed-traffic scenario) to
+// the compact binary format of internal/trace, enabling HyCSim-style
+// trace-driven studies where every policy configuration replays the
+// identical stimulus. -seed and -scale default to DefaultConfig's, the
+// values hybridsim -trace replays with.
 //
 // Examples:
 //
@@ -9,6 +11,7 @@
 //	tracegen -app zeusmp06 -o zeusmp.trc.gz    # gzip-compressed output
 //	tracegen -mix 4 -n 500000 -o mix4          # writes mix4.core{0..3}.trc
 //	tracegen -mix 4 -gzip -o mix4              # writes mix4.core{0..3}.trc.gz
+//	tracegen -mix 12 -o mix12                  # a skewed-traffic scenario
 //
 // Output ending in ".gz" is gzip-compressed; every trace consumer
 // (hybridsim -trace) detects compression by content, so compressed and
@@ -18,22 +21,26 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"log"
 	"sort"
 
 	"repro/internal/cliutil"
+	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
 func main() {
+	log.SetFlags(0)
+	log.SetPrefix("tracegen: ")
 	appName := flag.String("app", "", "application profile to trace (see -list)")
-	mix := flag.Int("mix", 0, "Table V mix to trace (1-10); one file per core")
+	def := core.DefaultConfig()
+	mixArg := flag.String("mix", "", cliutil.MixUsage+" to trace; one file per core")
 	n := flag.Int("n", 1_000_000, "number of accesses to record")
 	out := flag.String("o", "trace.trc", "output file (or prefix for -mix)")
 	gzipOut := flag.Bool("gzip", false, "gzip-compress -mix output (appends .gz to each per-core file)")
-	seed := flag.Uint64("seed", 1, "deterministic seed")
-	scale := flag.Float64("scale", 0.25, "footprint scale")
+	seed := flag.Uint64("seed", def.Seed, "deterministic seed")
+	scale := flag.Float64("scale", def.Scale, "footprint scale")
 	list := flag.Bool("list", false, "list available application profiles")
 	flag.Parse()
 
@@ -53,20 +60,24 @@ func main() {
 	case *appName != "":
 		prof, ok := workload.Profiles()[*appName]
 		if !ok {
-			fatal(fmt.Errorf("unknown application %q (use -list)", *appName))
+			log.Fatalf("unknown application %q (use -list)", *appName)
 		}
 		app, err := workload.NewApp(prof.Scale(*scale), workload.AppSpacing, *seed)
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		if err := writeTrace(app, *n, *out); err != nil {
-			fatal(err)
+			log.Fatal(err)
 		}
 		fmt.Printf("wrote %d accesses of %s to %s\n", *n, *appName, *out)
-	case *mix >= 1 && *mix <= 10:
-		apps, err := workload.NewMix(*mix-1, *seed, *scale)
+	case *mixArg != "":
+		mix, err := cliutil.ParseMix(*mixArg)
 		if err != nil {
-			fatal(err)
+			log.Fatal(err)
+		}
+		apps, err := workload.NewMix(mix, *seed, *scale)
+		if err != nil {
+			log.Fatal(err)
 		}
 		for i, app := range apps {
 			name := fmt.Sprintf("%s.core%d.trc", *out, i)
@@ -74,12 +85,12 @@ func main() {
 				name += ".gz"
 			}
 			if err := writeTrace(app, *n, name); err != nil {
-				fatal(err)
+				log.Fatal(err)
 			}
 			fmt.Printf("wrote %d accesses of %s to %s\n", *n, app.Profile().Name, name)
 		}
 	default:
-		fatal(fmt.Errorf("need -app NAME or -mix 1..10"))
+		log.Fatalf("need -app NAME or -mix N")
 	}
 }
 
@@ -93,9 +104,4 @@ func writeTrace(app *workload.App, n int, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracegen:", err)
-	os.Exit(1)
 }

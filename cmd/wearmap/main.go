@@ -11,11 +11,15 @@
 //	wearmap -quick -mix 11 -coloring wear:interval=1,pairs=32
 //	wearmap -policy BH -capacity 0.9 -state bh.nvmstate
 //	wearmap -json | jq .fields.wear_interset_cov
+//
+// Every scalar core.Config field is a flag named by its JSON tag.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"sort"
 
@@ -26,92 +30,78 @@ import (
 	"repro/internal/report"
 )
 
-// options carries everything run needs, so the golden-file test can
-// drive the full pipeline without going through flag parsing.
+// options carries everything run needs: the resolved config plus the
+// aging target, windows and snapshot path.
 type options struct {
-	Policy    string
-	Mix       int // 0-based
-	Seed      uint64
+	Config    core.Config
 	Capacity  float64
-	Warmup    uint64 // 0 = preset default
-	Measure   uint64 // 0 = preset default
-	Coloring  string // set-coloring spec ("" = off)
-	Quick     bool
+	Warmup    uint64
+	Measure   uint64
 	StatePath string
+	Format    report.Format
 }
 
 func main() {
-	def := core.DefaultConfig()
-	nMixes := len(core.AllMixes())
-	policyName := flag.String("policy", def.PolicyName, "insertion policy")
-	mix := flag.Int("mix", 1, fmt.Sprintf("mix number (1-%d: Table V plus skewed-traffic scenarios)", nMixes))
-	seed := flag.Uint64("seed", def.Seed, "deterministic seed")
-	capacity := flag.Float64("capacity", 0.8, "age until this capacity fraction")
-	warmup := flag.Uint64("warmup", 0, "warm-up cycles (0 = preset default)")
-	measure := flag.Uint64("measure", 0, "cycles to measure write rates over (0 = preset default)")
-	coloring := flag.String("coloring", "", `set coloring: "xor:mask=N", "rotate:interval=N,step=N", "wear:interval=N,pairs=N" or "off"`)
-	quick := flag.Bool("quick", false, "small configuration, short windows")
-	statePath := flag.String("state", "", "write the aged NVM state snapshot to this file")
-	csvOut := flag.Bool("csv", false, "emit CSV")
-	jsonOut := flag.Bool("json", false, "emit JSON")
-	flag.Parse()
-
-	if *mix < 1 || *mix > nMixes {
-		fatal(fmt.Errorf("mix %d outside 1-%d", *mix, nMixes))
-	}
-	rep, err := run(options{
-		Policy:    *policyName,
-		Mix:       *mix - 1,
-		Seed:      *seed,
-		Capacity:  *capacity,
-		Warmup:    *warmup,
-		Measure:   *measure,
-		Coloring:  *coloring,
-		Quick:     *quick,
-		StatePath: *statePath,
-	})
+	log.SetFlags(0)
+	log.SetPrefix("wearmap: ")
+	opt, err := parseArgs(os.Args[1:])
 	if err != nil {
-		fatal(err)
+		log.Fatal(err)
 	}
-	if err := rep.Write(os.Stdout, report.FormatOf(*jsonOut, *csvOut)); err != nil {
-		fatal(err)
+	rep, err := run(opt)
+	if err != nil {
+		log.Fatal(err)
 	}
+	if err := rep.Write(os.Stdout, opt.Format); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// parseArgs resolves the command line: the preset (DefaultConfig, or
+// QuickConfig with short windows under -quick), then -config, then the
+// flags set explicitly.
+func parseArgs(args []string) (options, error) {
+	fs := flag.NewFlagSet("wearmap", flag.ExitOnError)
+	cfg := core.DefaultConfig()
+	cf := cliutil.BindConfig(fs, &cfg).BindRun()
+	capacity := fs.Float64("capacity", 0.8, "age until this capacity fraction")
+	warmup := fs.Uint64("warmup", 0, "warm-up cycles (0 = preset default)")
+	measure := fs.Uint64("measure", 0, "cycles to measure write rates over (0 = preset default)")
+	quick := fs.Bool("quick", false, "small configuration, short windows")
+	statePath := fs.String("state", "", "write the aged NVM state snapshot to this file")
+	csvOut := fs.Bool("csv", false, "emit CSV")
+	jsonOut := fs.Bool("json", false, "emit JSON")
+	fs.Parse(args) // exits on a bad flag or -h
+	opt := options{Capacity: *capacity, Warmup: 2_000_000, Measure: 8_000_000,
+		StatePath: *statePath, Format: report.FormatOf(*jsonOut, *csvOut)}
+	if *quick {
+		cfg = core.QuickConfig()
+		opt.Warmup, opt.Measure = 300_000, 1_000_000
+	}
+	if err := cf.Apply(); err != nil {
+		return options{}, err
+	}
+	opt.Warmup, opt.Measure = cmp.Or(*warmup, opt.Warmup), cmp.Or(*measure, opt.Measure)
+	opt.Config = cfg
+	return opt, nil
 }
 
 // run executes the measure-then-age pipeline and builds the report.
 func run(opt options) (*report.Report, error) {
-	cfg := core.DefaultConfig()
-	warmup, measure := uint64(2_000_000), uint64(8_000_000)
-	if opt.Quick {
-		cfg = core.QuickConfig()
-		warmup, measure = 300_000, 1_000_000
-	}
-	if opt.Warmup > 0 {
-		warmup = opt.Warmup
-	}
-	if opt.Measure > 0 {
-		measure = opt.Measure
-	}
-	cfg.PolicyName = opt.Policy
-	cfg.MixID = opt.Mix
-	cfg.Seed = opt.Seed
-	// ApplyColoring validates the whole config (coloring included).
-	if err := cliutil.ApplyColoring(&cfg, opt.Coloring); err != nil {
-		return nil, err
-	}
+	cfg := opt.Config
 	sys, err := cfg.Build()
 	if err != nil {
 		return nil, err
 	}
 	arr := sys.LLC().Array()
 	if arr == nil {
-		return nil, fmt.Errorf("policy %s has no NVM part", opt.Policy)
+		return nil, fmt.Errorf("policy %s has no NVM part", cfg.PolicyName)
 	}
 
 	// Measure real per-frame write rates, then age with them.
-	sys.Run(warmup)
+	sys.Run(opt.Warmup)
 	arr.ResetPhase()
-	st := sys.Run(measure)
+	st := sys.Run(opt.Measure)
 	// Wear variation of the simulated window itself, before aging: aging
 	// runs frames into their endurance limits, which truncates the wear
 	// distribution and hides the rate imbalance the coloring schemes act
@@ -135,11 +125,11 @@ func run(opt options) (*report.Report, error) {
 	pctF := func(xs []float64, p float64) float64 { return xs[int(p*float64(len(xs)-1))] }
 
 	rep := report.NewReport(fmt.Sprintf("NVM wear map: %s mix %d aged to %.0f%% capacity",
-		opt.Policy, opt.Mix+1, capFrac*100))
-	rep.AddField("policy", opt.Policy)
-	rep.AddField("mix", opt.Mix+1)
-	if opt.Coloring != "" && opt.Coloring != "off" {
-		rep.AddField("coloring", opt.Coloring)
+		cfg.PolicyName, cfg.MixID+1, capFrac*100))
+	rep.AddField("policy", cfg.PolicyName)
+	rep.AddField("mix", cfg.MixID+1)
+	if cfg.Coloring != nil {
+		rep.AddField("coloring", cliutil.FormatColoring(cfg.Coloring))
 	}
 	rep.AddField("capacity", capFrac)
 	rep.AddField("aged_months", elapsed/forecast.SecondsPerMonth)
@@ -231,9 +221,4 @@ func run(opt options) (*report.Report, error) {
 		fmt.Fprintf(os.Stderr, "NVM state written to %s\n", opt.StatePath)
 	}
 	return rep, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "wearmap:", err)
-	os.Exit(1)
 }

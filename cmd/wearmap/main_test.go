@@ -13,20 +13,21 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files")
 
-// goldenOptions is a fixed quick run with wear-feedback coloring on the
-// zipfian set-pressure mix: small windows keep it test-speed while still
-// spanning several epochs, so the per-set heat columns carry real remaps.
-func goldenOptions() options {
-	return options{
-		Policy:   "CP_SD",
-		Mix:      11, // CLI mix 12: the multi-tenant interference scenario
-		Seed:     42,
-		Capacity: 0.5,
-		Warmup:   100_000,
-		Measure:  400_000,
-		Coloring: "wear:interval=1,pairs=16",
-		Quick:    true,
+// goldenArgs is a fixed quick run with wear-feedback coloring on the
+// multi-tenant interference mix: small windows keep it test-speed while
+// still spanning several epochs, so the per-set heat columns carry real
+// remaps.
+var goldenArgs = []string{"-quick", "-policy", "CP_SD", "-mix", "12", "-seed", "42",
+	"-capacity", "0.5", "-warmup", "100000", "-measure", "400000",
+	"-coloring", "wear:interval=1,pairs=16"}
+
+func goldenOptions(t *testing.T) options {
+	t.Helper()
+	opt, err := parseArgs(goldenArgs)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return opt
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {
@@ -53,7 +54,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // tables — and, because the golden bytes embed the measured values, the
 // end-to-end determinism of the measure-then-age pipeline.
 func TestGoldenWearmap(t *testing.T) {
-	rep, err := run(goldenOptions())
+	rep, err := run(goldenOptions(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestGoldenWearmap(t *testing.T) {
 // the golden bytes: the wear-variation field family and the two per-set
 // heat tables with their column sets.
 func TestWearmapColumns(t *testing.T) {
-	rep, err := run(goldenOptions())
+	rep, err := run(goldenOptions(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +101,14 @@ func TestWearmapColumns(t *testing.T) {
 // NVM array to map, and a malformed coloring spec must fail before the
 // simulation is built.
 func TestWearmapRejects(t *testing.T) {
-	opt := goldenOptions()
-	opt.Policy = "SRAM16"
-	opt.Coloring = ""
+	opt, err := parseArgs(append(goldenArgs, "-policy", "SRAM16", "-coloring", "off"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := run(opt); err == nil {
 		t.Fatal("SRAM-only policy produced a wear map")
 	}
-	opt = goldenOptions()
-	opt.Coloring = "wear:pairs=bogus"
-	if _, err := run(opt); err == nil {
+	if _, err := parseArgs(append(goldenArgs, "-coloring", "wear:pairs=bogus")); err == nil {
 		t.Fatal("malformed coloring spec accepted")
 	}
 }

@@ -1,6 +1,6 @@
-// Package cliutil holds helpers shared by the command-line tools:
-// mix-list parsing and the hardened worker-pool runner the sweep
-// drivers fan out on.
+// Package cliutil holds helpers shared by the command-line tools: the
+// config flag surface, mix-list parsing and the hardened worker-pool
+// runner the sweep drivers fan out on.
 package cliutil
 
 import (
@@ -9,16 +9,17 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // ParseMixes converts a CLI mix selector — "all" or a comma-separated list
-// of 1-based mix numbers — into 0-based mix indices. The upper bound
-// tracks the registered mix table (the paper's ten plus the skewed-
-// traffic scenarios), so new mixes are addressable without touching
-// every cmd.
+// of 1-based mix numbers — into 0-based mix indices. "all" is the paper's
+// ten Table V mixes; the skewed-traffic scenarios after them are chosen
+// by number. Both bounds track the registered mix table, so new mixes are
+// addressable without touching every cmd.
 func ParseMixes(arg string) ([]int, error) {
 	if arg == "all" {
-		return core.AllMixes(), nil
+		return core.AllMixes()[:paperMixes()], nil
 	}
 	n := len(core.AllMixes())
 	var out []int
@@ -34,6 +35,42 @@ func ParseMixes(arg string) ([]int, error) {
 	}
 	return out, nil
 }
+
+// ParseMix converts a one-run mix selector, a single 1-based mix number,
+// into its 0-based index through ParseMixes.
+func ParseMix(arg string) (int, error) {
+	mixes, err := ParseMixes(arg)
+	if err != nil {
+		return 0, err
+	}
+	if len(mixes) != 1 {
+		return 0, fmt.Errorf("want one mix, got %d", len(mixes))
+	}
+	return mixes[0], nil
+}
+
+// paperMixes counts the Table V mixes: the registered mixes before the
+// first one with a synthetic tenant.
+func paperMixes() int {
+	profiles := workload.Profiles()
+	for i, mix := range workload.Mixes() {
+		for _, app := range mix {
+			if profiles[app].Synthetic {
+				return i
+			}
+		}
+	}
+	return len(workload.Mixes())
+}
+
+// MixUsage and MixesUsage are the help strings of the -mix and -mixes
+// flags, derived from the mix table.
+var (
+	mixRanges = fmt.Sprintf("1-%d: Table V 1-%d, skewed-traffic scenarios %d-%d",
+		len(core.AllMixes()), paperMixes(), paperMixes()+1, len(core.AllMixes()))
+	MixUsage   = fmt.Sprintf("mix number (%s)", mixRanges)
+	MixesUsage = fmt.Sprintf(`comma-separated mix numbers (%s) or "all" (the %d Table V mixes)`, mixRanges, paperMixes())
+)
 
 // ParseColoring converts the conventional -coloring spec string into a
 // coloring config: "scheme[:key=value,...]" with scheme one of xor /
@@ -72,6 +109,26 @@ func ParseColoring(spec string) (*core.ColoringConfig, error) {
 		}
 	}
 	return cc, nil
+}
+
+// FormatColoring renders a coloring config back into the -coloring spec
+// syntax ParseColoring reads, options in a fixed order and zero options
+// omitted; nil renders as "off".
+func FormatColoring(cc *core.ColoringConfig) string {
+	if cc == nil {
+		return "off"
+	}
+	spec, sep := cc.Scheme, ":"
+	for _, o := range []struct {
+		key string
+		val int
+	}{{"mask", cc.Mask}, {"interval", cc.IntervalEpochs}, {"step", cc.Step}, {"pairs", cc.Pairs}} {
+		if o.val != 0 {
+			spec += fmt.Sprintf("%s%s=%d", sep, o.key, o.val)
+			sep = ","
+		}
+	}
+	return spec
 }
 
 // ApplyColoring parses the conventional -coloring flag into the config

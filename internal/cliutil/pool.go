@@ -13,9 +13,9 @@ import (
 )
 
 // This file is the hardened fan-out runner shared by the long-running
-// experiment drivers (cpthsweep, thsweep, appstudy, forecast,
-// faultstudy). Every task runs with a recover() barrier and an optional
-// deadline; failures become structured records instead of aborting the
+// experiment drivers (the figures studies, forecast, tournament, bench).
+// Every task runs with a recover() barrier and an optional deadline;
+// failures become structured records instead of aborting the
 // whole sweep, so an hours-long run always produces a report — with the
 // casualties listed in it.
 

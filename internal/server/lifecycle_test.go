@@ -212,6 +212,16 @@ func TestRecoveryAtEveryJournalOffset(t *testing.T) {
 			t.Fatalf("recorded journal has no %s entry", state)
 		}
 	}
+	recoverEveryCrashImage(t, dir, journals, reports, sw.ID())
+}
+
+// recoverEveryCrashImage boots a fresh manager over each journal prefix
+// of a recorded run in dir, plus its artifacts. Every recovered job must
+// end completed with the recorded run's report bytes and journal exactly
+// one terminal entry; a sweep named sweepID, when recovered, must
+// complete with all its children.
+func recoverEveryCrashImage(t *testing.T, dir string, journals []string, reports map[string][]byte, sweepID string) {
+	t.Helper()
 	artifacts, err := os.ReadDir(filepath.Join(dir, "artifacts"))
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +264,7 @@ func TestRecoveryAtEveryJournalOffset(t *testing.T) {
 				t.Fatalf("offset %d: job %s report differs from the uninterrupted run", k, j.ID())
 			}
 		}
-		if rsw, ok := m2.Sweep(sw.ID()); ok {
+		if rsw, ok := m2.Sweep(sweepID); ok {
 			if len(jobs) != len(reports) {
 				t.Fatalf("offset %d: recovered %d of the sweep's %d children", k, len(jobs), len(reports))
 			}
@@ -284,6 +294,57 @@ func TestRecoveryAtEveryJournalOffset(t *testing.T) {
 	}
 }
 
+// TestStandaloneCreationJournaledFirst records standalone jobs and
+// crashes at every journal offset. Each job's creation entry must come
+// before its run entries, so no crash image reads a finished job as
+// queued and runs it again.
+func TestStandaloneCreationJournaledFirst(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	m := newTestManager(t, Options{Workers: 2, QueueDepth: 8, CacheSize: NoCache, Store: st})
+	var jobs []*Job
+	for seed := 1; seed <= 4; seed++ {
+		j, _, err := m.Submit(tinyRequest(t, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	reports := map[string][]byte{}
+	for _, j := range jobs {
+		waitFor(t, func() bool { return j.State().Terminal() })
+		reports[j.ID()] = renderReport(t, j)
+	}
+	m.Close()
+	st.Close()
+
+	entries, err := jobstore.Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, e := range entries {
+		if e.Kind != jobstore.KindJob {
+			continue
+		}
+		if !seen[e.ID] && (e.State != string(StateQueued) || e.Request == nil) {
+			t.Fatalf("job %s: first journal entry is %q, not its creation entry", e.ID, e.State)
+		}
+		seen[e.ID] = true
+	}
+
+	journal, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(journal), "\n")
+	journals := make([]string, 0, len(lines))
+	for k := range lines {
+		journals = append(journals, strings.Join(lines[:k], ""))
+	}
+	recoverEveryCrashImage(t, dir, journals, reports, "")
+}
+
 // waitFor polls cond until it holds, failing the test after ten seconds.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
@@ -303,4 +364,40 @@ func renderReport(t *testing.T, j *Job) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestQueueFullLeavesNoJob: a submission the full queue rejects spends
+// no ID and journals nothing, so recovery has no job to run.
+func TestQueueFullLeavesNoJob(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	m := newTestManager(t, Options{Workers: -1, QueueDepth: 1, CacheSize: NoCache, Store: st})
+	for seed := 1; seed <= 2; seed++ {
+		_, _, err := m.Submit(tinyRequest(t, seed))
+		if want := seed == 2; errors.Is(err, ErrQueueFull) != want {
+			t.Fatalf("submission %d: err = %v", seed, err)
+		}
+	}
+	m.Close()
+	st.Close()
+	entries, err := jobstore.Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Kind == jobstore.KindJob && e.ID != "job-000001" {
+			t.Fatalf("rejected submission journaled %+v", e)
+		}
+	}
+}
+
+// tinyRequest is a job of the crash sweep's size, varied by seed.
+func tinyRequest(t *testing.T, seed int) JobRequest {
+	t.Helper()
+	req, err := DecodeJobRequest([]byte(fmt.Sprintf(`{"config": {"llc_sets": 4, "nvm_ways": 1,
+	  "scale": 0.05, "l2_size_kb": 8, "seed": %d}, "warmup_cycles": 1000, "measure_cycles": 20000}`, seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return req
 }

@@ -297,6 +297,12 @@ func (m *Manager) journal(e jobstore.Entry) {
 // submission — completed for a cache hit, queued otherwise — whatever a
 // worker has done with the job since. ErrQueueFull and ErrDraining
 // report backpressure and shutdown respectively.
+//
+// The job's creation entry is journaled before the job is enqueued, so
+// no worker can journal a run entry ahead of it, and outside m.mu, so
+// the fsync holds up no other submission. A queue that fills (or a
+// drain that starts) during that fsync rejects the job with a terminal
+// entry, which recovery keeps instead of running the job.
 func (m *Manager) Submit(req JobRequest) (*Job, JobStatus, error) {
 	key := req.CacheKey()
 	res, hit := m.cache.get(key)
@@ -305,31 +311,48 @@ func (m *Manager) Submit(req JobRequest) (*Job, JobStatus, error) {
 		m.mu.Unlock()
 		return nil, JobStatus{}, ErrDraining
 	}
+	if !hit && len(m.queue) == cap(m.queue) {
+		m.mu.Unlock()
+		return nil, JobStatus{}, m.rejectFull()
+	}
+	id := m.nextIDLocked()
+	m.mu.Unlock()
+
 	var j *Job
 	if hit {
-		j = newCachedJob(m.nextIDLocked(), req, res)
+		j = newCachedJob(id, req, res)
 	} else {
-		j = newJob(m.nextIDLocked(), req)
+		j = newJob(id, req)
 	}
 	st := j.Status()
+	e := j.entry(st.State)
+	e.Request = marshalRequest(req)
+	m.journal(e)
+
+	m.mu.Lock()
 	if !hit {
-		select {
-		case m.queue <- j:
-		default:
-			m.seq-- // ID not spent
+		err := ErrDraining
+		if !m.draining {
+			select {
+			case m.queue <- j:
+				err = nil
+			default:
+				err = m.rejectFull()
+			}
+		}
+		if err != nil {
 			m.mu.Unlock()
-			m.queueRejects.Add(1)
-			m.log.Warn("job rejected: queue full", "depth", cap(m.queue))
-			return nil, JobStatus{}, ErrQueueFull
+			j.transition(StateCanceled, nil, err)
+			e := j.entry(StateCanceled)
+			e.Error = err.Error()
+			m.journal(e)
+			return nil, JobStatus{}, err
 		}
 	}
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	m.mu.Unlock()
 	m.submitted.Add(1)
-	e := j.entry(st.State)
-	e.Request = marshalRequest(req)
-	m.journal(e)
 	if hit {
 		m.cacheHits.Add(1)
 		m.log.Info("job cache hit", "job", j.id, "key", key)
@@ -339,6 +362,13 @@ func (m *Manager) Submit(req JobRequest) (*Job, JobStatus, error) {
 			"policy", j.req.Config.PolicyName, "mix", j.req.Config.MixID+1)
 	}
 	return j, st, nil
+}
+
+// rejectFull counts and logs a submission the full queue turned away.
+func (m *Manager) rejectFull() error {
+	m.queueRejects.Add(1)
+	m.log.Warn("job rejected: queue full", "depth", cap(m.queue))
+	return ErrQueueFull
 }
 
 // marshalRequest renders a request for its creation journal entry.

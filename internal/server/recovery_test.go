@@ -386,10 +386,15 @@ func TestCheckpointEntriesJournaled(t *testing.T) {
 	if j.State() != StateCompleted {
 		t.Fatalf("job %s (%v)", j.State(), j.Err())
 	}
-	entries, err := jobstore.Replay(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Waiters wake before the completion entry is appended; wait for it.
+	var entries []jobstore.Entry
+	waitFor(t, func() bool {
+		if entries, err = jobstore.Replay(dir); err != nil {
+			t.Fatal(err)
+		}
+		rec, ok := jobstore.Reduce(entries).Job(j.ID())
+		return ok && rec.State == string(StateCompleted)
+	})
 	var ckpts int
 	var lastProgress uint64
 	for _, e := range entries {

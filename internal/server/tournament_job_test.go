@@ -12,7 +12,7 @@ import (
 
 // tournamentBody submits a user-defined tournament bracket as a simd
 // job: the "tournament" object rides inside the config exactly as
-// cmd/tournament -bracket documents it.
+// cmd/tournament -config documents it.
 const tournamentBody = `{
   "config": {
     "policy": "TOURNAMENT",
