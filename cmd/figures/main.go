@@ -265,8 +265,9 @@ func fig8(e *env) error {
 	}
 	rep.AddTable(byCap)
 
-	cols[0] = "mix"
-	byMix := report.New("Fig. 8b — per mix at 100% capacity", cols...)
+	// The report keeps the slice it is given, so 8b renames a copy.
+	mixCols := append([]string{"mix"}, cols[1:]...)
+	byMix := report.New("Fig. 8b — per mix at 100% capacity", mixCols...)
 	for i, m := range res.Mixes {
 		row := []interface{}{m + 1}
 		for _, f := range res.ByMix[i] {

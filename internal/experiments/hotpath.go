@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
+	"repro/internal/hier"
 	"repro/internal/report"
 )
 
@@ -29,7 +30,8 @@ type HotPathOptions struct {
 
 // HotPathRow is one mix×policy measurement. Ns/allocs/bytes are per LLC
 // access, derived from wall time and runtime.MemStats deltas across the
-// measured window.
+// measured window; BuildMs and BuildAllocs are the same deltas across
+// cfg.Build(), which constructs the NVM array.
 type HotPathRow struct {
 	Mix             int // 0-based
 	Policy          string
@@ -39,6 +41,8 @@ type HotPathRow struct {
 	BytesPerAccess  float64
 	MeanIPC         float64
 	HitRate         float64
+	BuildMs         float64
+	BuildAllocs     uint64
 }
 
 // HotPathBench runs the mix×policy cross on the cliutil pool and returns
@@ -84,27 +88,23 @@ func HotPathBench(opt HotPathOptions) ([]HotPathRow, []cliutil.TaskResult, error
 	return out, results, nil
 }
 
-// measureHotPath builds one system, warms it to steady state (cache
-// contents and all scratch buffers populated) and times the measured
-// window. The explicit GC before the window keeps a collection triggered
-// by warmup garbage from landing mid-measurement.
+// measureHotPath builds one system, timing the build, warms it to steady
+// state (cache contents and all scratch buffers populated) and times the
+// measured window.
 func measureHotPath(opt HotPathOptions, mix int, policyName string) (HotPathRow, error) {
 	cfg := opt.Base
 	cfg.MixID = mix
 	cfg.PolicyName = policyName
-	sys, err := cfg.Build()
+	var sys *hier.System
+	var err error
+	buildTime, buildAllocs, _ := measureWindow(func() { sys, err = cfg.Build() })
 	if err != nil {
 		return HotPathRow{}, err
 	}
 	sys.Run(opt.Warmup)
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
 	a0 := sys.Accesses()
-	t0 := time.Now()
-	r := sys.Run(opt.Measure)
-	elapsed := time.Since(t0)
-	runtime.ReadMemStats(&m1)
+	var r hier.RunStats
+	elapsed, allocs, bytes := measureWindow(func() { r = sys.Run(opt.Measure) })
 	da := sys.Accesses() - a0
 	if da == 0 {
 		return HotPathRow{}, fmt.Errorf("experiments: no LLC accesses in %d measured cycles", opt.Measure)
@@ -114,17 +114,34 @@ func measureHotPath(opt HotPathOptions, mix int, policyName string) (HotPathRow,
 		Policy:          policyName,
 		Accesses:        da,
 		NsPerAccess:     float64(elapsed.Nanoseconds()) / float64(da),
-		AllocsPerAccess: float64(m1.Mallocs-m0.Mallocs) / float64(da),
-		BytesPerAccess:  float64(m1.TotalAlloc-m0.TotalAlloc) / float64(da),
+		AllocsPerAccess: float64(allocs) / float64(da),
+		BytesPerAccess:  float64(bytes) / float64(da),
 		MeanIPC:         r.MeanIPC,
 		HitRate:         r.LLC.HitRate(),
+		BuildMs:         float64(buildTime.Nanoseconds()) / 1e6,
+		BuildAllocs:     buildAllocs,
 	}, nil
+}
+
+// measureWindow runs fn and returns its wall time and the heap allocations
+// (count and bytes) it made, from runtime.MemStats deltas. The explicit GC
+// first keeps a collection triggered by earlier garbage from landing
+// inside the window.
+func measureWindow(fn func()) (elapsed time.Duration, mallocs, bytes uint64) {
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	t0 := time.Now()
+	fn()
+	elapsed = time.Since(t0)
+	runtime.ReadMemStats(&m1)
+	return elapsed, m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
 }
 
 // HotPathReport assembles the sweep into the shared report sink. The
 // "hotpath" table is the schema consumers script against:
 // mix (1-based), policy, accesses, ns_per_access, allocs_per_access,
-// bytes_per_access, mean_ipc, hit_rate.
+// bytes_per_access, mean_ipc, hit_rate, build_ms, build_allocs.
 func HotPathReport(opt HotPathOptions, rows []HotPathRow, results []cliutil.TaskResult) *report.Report {
 	rep := report.NewReport("hot-path performance baseline")
 	rep.AddField("warmup_cycles", opt.Warmup)
@@ -135,10 +152,12 @@ func HotPathReport(opt HotPathOptions, rows []HotPathRow, results []cliutil.Task
 	rep.AddField("gomaxprocs", runtime.GOMAXPROCS(0))
 	tab := report.New("hotpath",
 		"mix", "policy", "accesses", "ns_per_access",
-		"allocs_per_access", "bytes_per_access", "mean_ipc", "hit_rate")
+		"allocs_per_access", "bytes_per_access", "mean_ipc", "hit_rate",
+		"build_ms", "build_allocs")
 	for _, r := range rows {
 		tab.AddRow(r.Mix+1, r.Policy, report.FormatCount(r.Accesses), r.NsPerAccess,
-			r.AllocsPerAccess, r.BytesPerAccess, r.MeanIPC, r.HitRate)
+			r.AllocsPerAccess, r.BytesPerAccess, r.MeanIPC, r.HitRate,
+			r.BuildMs, report.FormatCount(r.BuildAllocs))
 	}
 	rep.AddTable(tab)
 	cliutil.AddRunSummary(rep, results)

@@ -35,6 +35,9 @@ func TestHotPathBench(t *testing.T) {
 			t.Errorf("%s: negative alloc rate (%v allocs, %v B)",
 				r.Policy, r.AllocsPerAccess, r.BytesPerAccess)
 		}
+		if r.BuildMs <= 0 || r.BuildAllocs == 0 {
+			t.Errorf("%s: build %v ms, %d allocs", r.Policy, r.BuildMs, r.BuildAllocs)
+		}
 		if r.HitRate < 0 || r.HitRate > 1 {
 			t.Errorf("%s: hit rate %v", r.Policy, r.HitRate)
 		}
@@ -51,7 +54,7 @@ func TestHotPathBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{`"hotpath"`, "ns_per_access", "allocs_per_access", "bytes_per_access", "CP_SD"} {
+	for _, want := range []string{`"hotpath"`, "ns_per_access", "allocs_per_access", "bytes_per_access", "build_ms", "build_allocs", "CP_SD"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("JSON report missing %q", want)
 		}

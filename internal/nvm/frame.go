@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // FrameBytes is the physical size of an NVM frame: 64 data bytes plus two
@@ -75,15 +74,22 @@ type Sampler interface {
 // that are still alive share the same accumulated per-byte wear; a byte
 // dies when that shared wear level crosses its sampled endurance limit.
 // This is the same analytic treatment as the paper's forecast procedure.
+//
+// The ascending-limit order is only needed once a byte dies, which a young
+// cache's frames almost never reach, so it is filled lazily (see ordered).
 type Frame struct {
-	limits [FrameBytes]float64 // per-byte endurance (writes)
-	order  [FrameBytes]uint8   // byte indices sorted by ascending limit
-	faulty FaultMap
-	live   int
-	wear   float64 // per-live-byte accumulated writes
-	next   int     // index into order of the next byte to die
-	gran   Granularity
-	dead   bool // frame disabled (always true when live < MinECB)
+	limits   [FrameBytes]float64 // per-byte endurance (writes)
+	order    [FrameBytes]uint8   // byte indices sorted by ascending limit, once ordered
+	minLimit float64             // smallest entry of limits
+	faulty   FaultMap
+	live     int
+	wear     float64 // per-live-byte accumulated writes
+	next     int     // index into order of the next byte to die
+	gran     Granularity
+	dead     bool // frame disabled (always true when live < MinECB)
+	// ordered reports whether order is filled. An unordered frame has no
+	// faulty byte, so minLimit is its next limit.
+	ordered bool
 
 	// phaseWritten counts bytes written to this frame during the current
 	// simulation phase; the forecast turns it into a write rate.
@@ -101,15 +107,35 @@ func NewFrame(model EnduranceModel, s Sampler, gran Granularity) *Frame {
 	for i := range f.limits {
 		f.limits[i] = s.TruncNormal(model.Mean, sigma, 1)
 	}
-	idx := make([]int, FrameBytes)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return f.limits[idx[a]] < f.limits[idx[b]] })
-	for i, v := range idx {
-		f.order[i] = uint8(v)
-	}
+	f.setMinLimit()
 	return f
+}
+
+// setMinLimit records the smallest endurance limit: the next limit of a
+// frame with no faulty byte, whatever the order of the rest.
+func (f *Frame) setMinLimit() {
+	f.minLimit = math.Inf(1)
+	for _, v := range f.limits {
+		if v < f.minLimit {
+			f.minLimit = v
+		}
+	}
+}
+
+// sortOrder fills order with the byte indices by ascending limit, by a
+// stable insertion sort in place. It runs once, when the frame first needs
+// the order: a crossed minLimit, an injected fault or a restored fault map.
+// Bytes already faulty stay in the order; AddWear and NextLimit skip them.
+func (f *Frame) sortOrder() {
+	f.ordered = true
+	for i := range f.order {
+		b := uint8(i)
+		j := i
+		for ; j > 0 && f.limits[f.order[j-1]] > f.limits[b]; j-- {
+			f.order[j] = f.order[j-1]
+		}
+		f.order[j] = b
+	}
 }
 
 // Granularity returns the frame's disabling granularity.
@@ -155,6 +181,9 @@ func (f *Frame) Wear() float64 { return f.wear }
 // NextLimit returns the endurance limit of the next byte to die, or +Inf if
 // every byte has already failed.
 func (f *Frame) NextLimit() float64 {
+	if !f.ordered {
+		return f.minLimit
+	}
 	for i := f.next; i < FrameBytes; i++ {
 		if !f.faulty.Get(int(f.order[i])) {
 			return f.limits[f.order[i]]
@@ -184,6 +213,12 @@ func (f *Frame) AddWear(delta float64) int {
 		return 0
 	}
 	f.wear += delta
+	if !f.ordered {
+		if f.wear < f.minLimit {
+			return 0
+		}
+		f.sortOrder()
+	}
 	died := 0
 	for f.next < FrameBytes && f.limits[f.order[f.next]] <= f.wear {
 		bi := int(f.order[f.next])
@@ -237,11 +272,13 @@ func (f *Frame) InjectFault(i int) {
 	if f.dead || f.faulty.Get(i) {
 		return
 	}
+	if !f.ordered {
+		f.sortOrder()
+	}
 	f.faulty.Set(i)
 	f.live--
-	// Keep order bookkeeping consistent: mark the byte's limit as already
-	// passed by swapping it to the front region conceptually; simplest is
-	// to recompute next pointer lazily by skipping already-faulty bytes.
+	// AddWear and NextLimit skip faulty bytes; move next past a faulty
+	// prefix here so the common case stays a single comparison.
 	for f.next < FrameBytes && f.faulty.Get(int(f.order[f.next])) {
 		f.next++
 	}

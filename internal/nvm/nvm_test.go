@@ -149,7 +149,12 @@ func TestInjectFault(t *testing.T) {
 
 func TestNextLimitSkipsInjected(t *testing.T) {
 	f := newTestFrame(ByteDisabling)
-	weakest := int(f.order[0])
+	weakest := 0
+	for i, v := range f.limits {
+		if v < f.limits[weakest] {
+			weakest = i
+		}
+	}
 	f.InjectFault(weakest)
 	nl := f.NextLimit()
 	if nl <= f.limits[weakest] {

@@ -61,46 +61,28 @@ func RestoreArray(s ArraySnapshot) (*Array, error) {
 	a.counter.Advance(s.Counter)
 	a.frames = make([]*Frame, len(s.Frames))
 	for i, fs := range s.Frames {
-		f, err := restoreFrame(fs, s.Granularity)
-		if err != nil {
-			return nil, fmt.Errorf("nvm: frame %d: %w", i, err)
-		}
-		a.frames[i] = f
+		a.frames[i] = restoreFrame(fs, s.Granularity)
 	}
 	return a, nil
 }
 
 // restoreFrame rebuilds a frame from persistent state, recomputing the
-// derived fields (sort order, live count, next-death pointer).
-func restoreFrame(s FrameSnapshot, gran Granularity) (*Frame, error) {
-	f := &Frame{limits: s.Limits, gran: gran, live: FrameBytes}
-	// Rebuild the ascending-limit order.
-	idx := make([]int, FrameBytes)
-	for i := range idx {
-		idx[i] = i
+// derived fields: the smallest limit, the live count and, once a byte is
+// faulty, the ascending-limit order.
+func restoreFrame(s FrameSnapshot, gran Granularity) *Frame {
+	f := &Frame{
+		limits: s.Limits,
+		faulty: FaultMap{lo: s.FaultLo, hi: s.FaultHi},
+		wear:   s.Wear,
+		gran:   gran,
 	}
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && f.limits[idx[j]] < f.limits[idx[j-1]]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
+	f.setMinLimit()
+	f.live = FrameBytes - f.faulty.Count()
+	if f.live < FrameBytes {
+		f.sortOrder()
 	}
-	for i, v := range idx {
-		f.order[i] = uint8(v)
-	}
-	// Replay the fault map.
-	f.faulty = FaultMap{lo: s.FaultLo, hi: s.FaultHi}
-	live := FrameBytes - f.faulty.Count()
-	if live < 0 {
-		return nil, fmt.Errorf("invalid fault map")
-	}
-	f.live = live
-	f.wear = s.Wear
-	// Advance the next-death pointer past already-dead bytes.
-	for f.next < FrameBytes && f.faulty.Get(int(f.order[f.next])) {
-		f.next++
-	}
-	f.dead = s.Dead || (gran == FrameDisabling && live < FrameBytes) || live < MinECB
-	return f, nil
+	f.dead = s.Dead || (gran == FrameDisabling && f.live < FrameBytes) || f.live < MinECB
+	return f
 }
 
 // WriteSnapshot gob-encodes the array state to w.
