@@ -6,6 +6,7 @@
 // two text runs through benchstat).
 //
 //	bench -quick                               # CI baseline, writes BENCH_hotpath.json
+//	bench -quick -out none -baseline BENCH_hotpath.json  # fail on an allocs_per_access rise
 //	bench -quick -mixes 1,2 -policies BH,CP_SD # a smaller cross
 //	bench -cpuprofile cpu.out -memprofile mem.out -quick
 //
@@ -42,6 +43,7 @@ func main() {
 	measure := flag.Uint64("measure", 0, "measured cycles (0 = preset default)")
 	estimate := flag.Bool("estimate", false, "bench the POST /v1/estimate cached fast path instead of the hot path (gates: p50 < 1 ms, 0 allocs per cache lookup)")
 	estIters := flag.Int("estimate-iters", 2000, "cached-estimate requests to measure with -estimate")
+	baseline := flag.String("baseline", "", "hot-path baseline JSON to gate against: fail when any cell's allocs_per_access exceeds it")
 	out := flag.String("out", "", `JSON report path ("" selects BENCH_hotpath.json, or BENCH_estimate.json with -estimate; "none" disables)`)
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile after the sweep")
@@ -105,6 +107,14 @@ func main() {
 			log.Fatal(err)
 		}
 		rep = experiments.HotPathReport(opt, rows, results)
+		if *baseline != "" {
+			f, err := os.Open(*baseline)
+			if err != nil {
+				log.Fatal(err)
+			}
+			gateErr = experiments.CompareHotPath(rows, f)
+			f.Close()
+		}
 	}
 
 	if *memprofile != "" {

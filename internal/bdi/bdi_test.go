@@ -269,8 +269,8 @@ func TestCompressPanicsOnBadSize(t *testing.T) {
 
 func TestCompressedSizeMatchesCompress(t *testing.T) {
 	b := block64(func(i int) byte { return byte(i) })
-	if CompressedSize(b) != Compress(b).Size() {
-		t.Error("CompressedSize disagrees with Compress")
+	if SizeOf(b) != Compress(b).Size() {
+		t.Error("SizeOf disagrees with Compress")
 	}
 }
 

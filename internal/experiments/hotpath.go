@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"runtime"
+	"strconv"
 	"time"
 
 	"repro/internal/cliutil"
@@ -16,7 +20,8 @@ import (
 // heap allocations and allocated bytes — so the zero-allocation work on
 // the bdi/hybrid/nvm hot paths stays locked in. cmd/bench drives it and
 // writes the result as BENCH_hotpath.json; compare runs with benchstat
-// or by diffing the JSON.
+// or by diffing the JSON. CompareHotPath gates a sweep against the
+// checked-in baseline (make bench-compare).
 
 // HotPathOptions selects the sweep: base geometry plus the mixes and
 // policies to cross.
@@ -162,4 +167,60 @@ func HotPathReport(opt HotPathOptions, rows []HotPathRow, results []cliutil.Task
 	rep.AddTable(tab)
 	cliutil.AddRunSummary(rep, results)
 	return rep
+}
+
+// CompareHotPath gates a sweep against a baseline report (the JSON that
+// make bench writes): every row needs a baseline cell with the same mix
+// and policy, and its allocs_per_access, rendered at the report's four
+// decimals, must not exceed the baseline's. That column repeats exactly
+// from run to run on one toolchain, so a baseline from another Go version
+// is rejected rather than compared. Wall time is never compared, and
+// neither is build_allocs, which varies by a few allocations between runs.
+// The error lists every regression.
+func CompareHotPath(rows []HotPathRow, baseline io.Reader) error {
+	var base struct {
+		Fields map[string]any `json:"fields"`
+		Tables []struct {
+			Title   string     `json:"title"`
+			Columns []string   `json:"columns"`
+			Rows    [][]string `json:"rows"`
+		} `json:"tables"`
+	}
+	if err := json.NewDecoder(baseline).Decode(&base); err != nil {
+		return fmt.Errorf("experiments: read hot-path baseline: %w", err)
+	}
+	if v := base.Fields["go_version"]; v != runtime.Version() {
+		return fmt.Errorf("experiments: baseline was measured with %v, this is %s: regenerate it with make bench", v, runtime.Version())
+	}
+	want := map[string]float64{}
+	for _, t := range base.Tables {
+		if t.Title != "hotpath" {
+			continue
+		}
+		col := map[string]int{}
+		for i, c := range t.Columns {
+			col[c] = i
+		}
+		for _, r := range t.Rows {
+			v, err := strconv.ParseFloat(r[col["allocs_per_access"]], 64)
+			if err != nil {
+				return fmt.Errorf("experiments: baseline allocs_per_access: %w", err)
+			}
+			want[r[col["mix"]]+"/"+r[col["policy"]]] = v
+		}
+	}
+	var errs []error
+	for _, r := range rows {
+		key := fmt.Sprintf("%d/%s", r.Mix+1, r.Policy)
+		limit, ok := want[key]
+		if !ok {
+			errs = append(errs, fmt.Errorf("mix %d %s: no baseline cell", r.Mix+1, r.Policy))
+			continue
+		}
+		got, _ := strconv.ParseFloat(fmt.Sprintf("%.4f", r.AllocsPerAccess), 64)
+		if got > limit {
+			errs = append(errs, fmt.Errorf("mix %d %s: allocs_per_access %.4f exceeds baseline %.4f", r.Mix+1, r.Policy, got, limit))
+		}
+	}
+	return errors.Join(errs...)
 }

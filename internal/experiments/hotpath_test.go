@@ -66,3 +66,38 @@ func TestHotPathBenchRejectsEmpty(t *testing.T) {
 		t.Fatal("empty cross accepted")
 	}
 }
+
+func TestCompareHotPath(t *testing.T) {
+	opt := HotPathOptions{Base: core.QuickConfig(), Mixes: []int{0}, Policies: []string{"BH", "CP_SD"}}
+	base := []HotPathRow{
+		{Mix: 0, Policy: "BH", AllocsPerAccess: 0.0016, BuildAllocs: 3000},
+		{Mix: 0, Policy: "CP_SD", AllocsPerAccess: 0.0018, BuildAllocs: 3000},
+	}
+	var b strings.Builder
+	if err := HotPathReport(opt, base, nil).Write(&b, report.JSON); err != nil {
+		t.Fatal(err)
+	}
+	baseline := b.String()
+	compare := func(rows ...HotPathRow) error { return CompareHotPath(rows, strings.NewReader(baseline)) }
+
+	// Equal at the report's rounding, fewer allocations, or more build
+	// allocations all pass.
+	if err := compare(
+		HotPathRow{Mix: 0, Policy: "BH", AllocsPerAccess: 0.00162, BuildAllocs: 3004},
+		HotPathRow{Mix: 0, Policy: "CP_SD", AllocsPerAccess: 0.0011},
+	); err != nil {
+		t.Fatalf("no regression reported as %v", err)
+	}
+	err := compare(
+		HotPathRow{Mix: 0, Policy: "BH", AllocsPerAccess: 0.0017},
+		HotPathRow{Mix: 3, Policy: "CP_SD", AllocsPerAccess: 0},
+	)
+	if err == nil || !strings.Contains(err.Error(), "mix 1 BH: allocs_per_access 0.0017 exceeds baseline 0.0016") ||
+		!strings.Contains(err.Error(), "mix 4 CP_SD: no baseline cell") {
+		t.Fatalf("regressions reported as %v", err)
+	}
+	other := strings.Replace(baseline, `"go_version": "go`, `"go_version": "other-go`, 1)
+	if err := CompareHotPath(base, strings.NewReader(other)); err == nil || !strings.Contains(err.Error(), "regenerate") {
+		t.Fatalf("foreign-toolchain baseline accepted: %v", err)
+	}
+}

@@ -15,6 +15,7 @@ package hier
 import (
 	"fmt"
 
+	"repro/internal/bdi"
 	"repro/internal/cache"
 	"repro/internal/hybrid"
 	"repro/internal/metrics"
@@ -76,6 +77,9 @@ func DefaultConfig() Config {
 // Program is the per-core stimulus source: the synthetic application
 // models of package workload implement it directly, and package trace
 // adapts recorded traces to it (the HyCSim-style trace-driven mode).
+// A program that also has CompressedSize(block) int, as both of those
+// do, is the LLC's hybrid.BlockSource as it stands; any other program
+// is sized by compressing its ContentInto bytes.
 type Program interface {
 	// Next produces the next memory access.
 	Next() workload.Access
@@ -139,8 +143,11 @@ func (t llcTarget) Sync()                                {}
 
 // Core is one simulated core: a program plus private caches.
 type Core struct {
-	idx    int // position in System.cores; the Target fan-out key
-	app    Program
+	idx int // position in System.cores; the Target fan-out key
+	app Program
+	// src sizes the program's blocks for the LLC's lazy insert path,
+	// resolved once at construction (blockSource).
+	src    hybrid.BlockSource
 	l1, l2 *cache.Cache
 	pf     *Prefetcher
 	cycles uint64
@@ -171,7 +178,8 @@ type System struct {
 	cfg    Config
 	target Target
 	// llc is the concrete LLC when the target is an LLCTarget; nil for
-	// other targets (use Target then).
+	// other targets (use Target then). L2 victims reach it through the
+	// lazy InsertFrom; other targets get bytes through Target.Insert.
 	llc   *hybrid.LLC
 	cores []*Core
 	// compress caches target.CompressionEnabled() (constant per run).
@@ -210,9 +218,10 @@ type System struct {
 	// harness divides wall time by its delta for ns/access.
 	accesses uint64
 	// contentBuf is the per-system scratch the L2-eviction path fills with
-	// block contents before handing them to the LLC, so the per-insert
-	// content generation allocates nothing. Owned by the system; contents
-	// are only valid for the duration of one LLC insert.
+	// block contents before handing them to a target other than the
+	// concrete LLC, so the per-insert content generation allocates
+	// nothing. Owned by the system; contents are only valid for the
+	// duration of one Target.Insert.
 	contentBuf [64]byte
 	// Run window scratch, reused across calls.
 	runInsts  []uint64
@@ -240,13 +249,13 @@ func New(cfg Config, llc *hybrid.LLC, apps []*workload.App) *System {
 // NewFromPrograms builds a system from arbitrary per-core programs (e.g.
 // trace replays).
 func NewFromPrograms(cfg Config, llc *hybrid.LLC, apps []Program) *System {
-	s := NewWithTarget(cfg, LLCTarget(llc), apps)
-	s.llc = llc
-	return s
+	return NewWithTarget(cfg, LLCTarget(llc), apps)
 }
 
 // NewWithTarget builds a system running the programs against an arbitrary
-// LLC target (LLCTarget or a wrapper around one).
+// LLC target (LLCTarget or a wrapper around one). A plain LLCTarget gives
+// the system the concrete LLC, which L2 victims reach through the lazy
+// insert path; any other target receives block bytes via Target.Insert.
 func NewWithTarget(cfg Config, t Target, apps []Program) *System {
 	if len(apps) == 0 {
 		panic("hier: no applications")
@@ -258,6 +267,9 @@ func NewWithTarget(cfg Config, t Target, apps []Program) *System {
 		cfg.EpochCycles = 2_000_000
 	}
 	s := &System{cfg: cfg, target: t, epochEnd: cfg.EpochCycles, compress: t.CompressionEnabled()}
+	if lt, ok := t.(llcTarget); ok {
+		s.llc = lt.l
+	}
 	if cfg.Banks > 0 {
 		s.bankFree = make([]uint64, cfg.Banks)
 	}
@@ -265,6 +277,7 @@ func NewWithTarget(cfg Config, t Target, apps []Program) *System {
 		c := &Core{
 			idx: i,
 			app: app,
+			src: blockSource(app),
 			l1:  cache.New(cfg.L1Sets, cfg.L1Ways),
 			l2:  cache.New(cfg.L2Sets, cfg.L2Ways),
 		}
@@ -590,11 +603,20 @@ func (s *System) fillL2(c *Core, block uint64, dirty bool, flags uint8) {
 	if ev.Dirty {
 		tag.LB = false // a modified block cannot be a loop-block
 	}
-	var content []byte
-	if s.compress {
-		content = s.appOf(ev.Block).ContentInto(s.contentBuf[:], ev.Block)
+	var out hybrid.InsertOutcome
+	if s.llc != nil {
+		var src hybrid.BlockSource
+		if s.compress {
+			src = s.ownerOf(ev.Block).src
+		}
+		out = s.llc.InsertFrom(ev.Block, ev.Dirty, tag, src)
+	} else {
+		var content []byte
+		if s.compress {
+			content = s.ownerOf(ev.Block).app.ContentInto(s.contentBuf[:], ev.Block)
+		}
+		out = s.target.Insert(c.idx, ev.Block, ev.Dirty, tag, content)
 	}
-	out := s.target.Insert(c.idx, ev.Block, ev.Dirty, tag, content)
 	if occ := bankWriteOcc(out); occ > 0 {
 		// The write itself is off the core's critical path (posted by the
 		// L2 eviction), but it occupies the bank and delays later reads.
@@ -630,18 +652,38 @@ func (s *System) clearLB(c *Core, block uint64) {
 	}
 }
 
-// appOf resolves the owner of a global block address.
-func (s *System) appOf(block uint64) Program {
+// ownerOf resolves the core whose program owns a global block address.
+func (s *System) ownerOf(block uint64) *Core {
 	idx := int(block/workload.AppSpacing) - 1
 	if idx >= 0 && idx < len(s.cores) && s.cores[idx].app.Owns(block) {
-		return s.cores[idx].app
+		return s.cores[idx]
 	}
 	for _, c := range s.cores {
 		if c.app.Owns(block) {
-			return c.app
+			return c
 		}
 	}
 	panic(fmt.Sprintf("hier: no owner for block %#x", block))
+}
+
+// blockSource resolves how the LLC sizes a program's blocks: through the
+// program's own size memo when it has one (workload.App, trace.Program),
+// otherwise by compressing the bytes ContentInto generates.
+func blockSource(p Program) hybrid.BlockSource {
+	if src, ok := p.(hybrid.BlockSource); ok {
+		return src
+	}
+	return &sizingProgram{Program: p}
+}
+
+// sizingProgram sizes a memo-less program's blocks from their bytes.
+type sizingProgram struct {
+	Program
+	buf [bdi.BlockSize]byte // scratch for one block's bytes
+}
+
+func (p *sizingProgram) CompressedSize(block uint64) int {
+	return bdi.SizeOf(p.ContentInto(p.buf[:], block))
 }
 
 // Bank data-array occupancies in cycles (Table IV: 4-cycle SRAM D-array,

@@ -38,7 +38,7 @@ func newAblLLC(t *testing.T, mod func(*Config)) *LLC {
 
 func TestHCROnlyAblation(t *testing.T) {
 	content := lcrBlock()
-	if got := bdi.CompressedSize(content); got != 40 {
+	if got := bdi.SizeOf(content); got != 40 {
 		t.Fatalf("setup: block compresses to %d, want 40", got)
 	}
 	full := newAblLLC(t, nil)

@@ -26,13 +26,16 @@ func contentFor(a uint64) []byte {
 	return b
 }
 
+// setSource is a hybrid.BlockSource over the alloc test's working set:
+// block i*64 holds contents[i].
+type setSource struct{ contents [][]byte }
+
+func (s setSource) CompressedSize(block uint64) int { return bdi.SizeOf(s.contents[block/64]) }
+func (s setSource) ContentInto(dst []byte, block uint64) []byte {
+	return append(dst[:0], s.contents[block/64]...)
+}
+
 func TestSteadyStateLLCAccessZeroAllocs(t *testing.T) {
-	llc := hybrid.New(hybrid.Config{
-		Sets: 64, SRAMWays: 4, NVMWays: 12,
-		Policy:    policy.CA{},
-		Endurance: nvm.EnduranceModel{Mean: 1e12, CV: 0.2},
-		Sampler:   stats.NewRNG(7),
-	})
 	// A conflicting working set larger than one set's capacity, so the
 	// measured loop exercises hits, misses, fresh inserts with victim
 	// selection, and in-place dirty updates.
@@ -43,18 +46,36 @@ func TestSteadyStateLLCAccessZeroAllocs(t *testing.T) {
 		blocks[i] = uint64(i) * 64 // all map to set 0 (64 sets, stride 64)
 		contents[i] = contentFor(blocks[i])
 	}
-	for i := range blocks { // warm up: populate the set and the scratch
-		llc.Insert(blocks[i], false, hybrid.BlockTag{}, contents[i])
+	src := &setSource{contents: contents}
+	// Both insert entry points: bytes in hand (Insert), and sized on
+	// demand from a source (InsertFrom, the hierarchy's path).
+	inserts := map[string]func(l *hybrid.LLC, i int, dirty bool){
+		"Insert": func(l *hybrid.LLC, i int, dirty bool) {
+			l.Insert(blocks[i], dirty, hybrid.BlockTag{}, contents[i])
+		},
+		"InsertFrom": func(l *hybrid.LLC, i int, dirty bool) {
+			l.InsertFrom(blocks[i], dirty, hybrid.BlockTag{}, src)
+		},
 	}
-	i := 0
-	if allocs := testing.AllocsPerRun(400, func() {
-		b := blocks[i%n]
-		llc.GetS(b)
-		llc.Insert(b, i%3 == 0, hybrid.BlockTag{}, contents[i%n])
-		llc.GetX(blocks[(i*7)%n])
-		i++
-	}); allocs != 0 {
-		t.Errorf("steady-state LLC access allocates %.1f times per run, want 0", allocs)
+	for name, insert := range inserts {
+		llc := hybrid.New(hybrid.Config{
+			Sets: 64, SRAMWays: 4, NVMWays: 12,
+			Policy:    policy.CA{},
+			Endurance: nvm.EnduranceModel{Mean: 1e12, CV: 0.2},
+			Sampler:   stats.NewRNG(7),
+		})
+		for i := range blocks { // warm up: populate the set and the scratch
+			insert(llc, i, false)
+		}
+		i := 0
+		if allocs := testing.AllocsPerRun(400, func() {
+			llc.GetS(blocks[i%n])
+			insert(llc, i%n, i%3 == 0)
+			llc.GetX(blocks[(i*7)%n])
+			i++
+		}); allocs != 0 {
+			t.Errorf("%s: steady-state LLC access allocates %.1f times per run, want 0", name, allocs)
+		}
 	}
 }
 

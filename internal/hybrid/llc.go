@@ -376,6 +376,17 @@ func (l *LLC) GetX(block uint64) AccessResult {
 	return res
 }
 
+// BlockSource supplies an inserted block's compressed size and, when the
+// LLC stores bytes (materialized mode), its contents. *workload.App and
+// trace.Program implement it with a per-version size memo.
+type BlockSource interface {
+	// CompressedSize returns the BDI size of the block's current contents.
+	CompressedSize(block uint64) int
+	// ContentInto writes the block's current 64 bytes into dst (grown only
+	// when its capacity is short) and returns the slice.
+	ContentInto(dst []byte, block uint64) []byte
+}
+
 // Insert handles a block evicted from L2 (clean or dirty). content provides
 // the block's bytes for compression; it may be nil when the policy does not
 // compress, in which case the block is treated as stored uncompressed.
@@ -383,18 +394,41 @@ func (l *LLC) GetX(block uint64) AccessResult {
 // incoming copy is clean, nothing happens; if dirty, the LLC copy is
 // updated in place.
 func (l *LLC) Insert(block uint64, dirty bool, tag BlockTag, content []byte) InsertOutcome {
+	return l.insert(block, dirty, tag, nil, content)
+}
+
+// InsertFrom is Insert with the block's size and bytes drawn from src on
+// demand: a clean block already present returns before src is consulted,
+// src is asked for the compressed size only when the block is stored, and
+// for the bytes only in materialized mode. src may be nil when the policy
+// does not compress.
+func (l *LLC) InsertFrom(block uint64, dirty bool, tag BlockTag, src BlockSource) InsertOutcome {
+	return l.insert(block, dirty, tag, src, nil)
+}
+
+// insert is the one body of Insert and InsertFrom; at most one of src and
+// content is set.
+func (l *LLC) insert(block uint64, dirty bool, tag BlockTag, src BlockSource, content []byte) InsertOutcome {
 	set, way, e := l.find(block)
+	if e != nil && !dirty {
+		return InsertOutcome{} // already present and up to date
+	}
 	cb := bdi.BlockSize
-	if l.pol.Compressed() && content != nil {
-		cb = bdi.SizeOf(content)
+	if l.pol.Compressed() {
+		switch {
+		case src != nil:
+			cb = src.CompressedSize(block)
+			if l.data != nil {
+				content = src.ContentInto(l.data.fetch[:], block)
+			}
+		case content != nil:
+			cb = bdi.SizeOf(content)
+		}
 		if l.hcrOnly && cb > bdi.HCRLimit {
 			cb = bdi.BlockSize // original BDI: LCR encodings discarded
 		}
 	}
 	if e != nil {
-		if !dirty {
-			return InsertOutcome{} // already present and up to date
-		}
 		l.updateInPlace(set, way, e, dirty, tag, cb, content)
 		return InsertOutcome{Wrote: true, Part: l.partOf(way)}
 	}

@@ -3,6 +3,8 @@ package hybrid
 import (
 	"bytes"
 	"fmt"
+
+	"repro/internal/bdi"
 )
 
 // Materialized-data mode: when Config.MaterializeData is set, every NVM
@@ -26,6 +28,9 @@ type dataStore struct {
 	hasContent []bool
 	images     []StoredBlock // per entry slot: NVM physical image
 	hasImage   []bool
+	// fetch receives the bytes InsertFrom pulls from its source; they are
+	// copied into the slot's buffer before the insert returns.
+	fetch [bdi.BlockSize]byte
 }
 
 // initMaterialize validates and installs the mode.

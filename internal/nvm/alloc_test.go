@@ -57,6 +57,25 @@ func TestRestoreArrayAllocs(t *testing.T) {
 	}
 }
 
+// TestArrayWearVariationZeroAllocs pins the metric pass every registry
+// snapshot runs (two per hier.System.Run) at zero allocations once the
+// array's scratch is sized, at DefaultConfig geometry, and checks that
+// the reused scratch yields exactly WearVariationOf's values as wear moves.
+func TestArrayWearVariationZeroAllocs(t *testing.T) {
+	a := NewArray(benchSets, benchWays, testModel, stats.NewRNG(1), ByteDisabling)
+	for step := 1; step <= 3; step++ {
+		for i, f := range a.Frames() {
+			f.AddWear(float64((i*step)%17) * 1e3)
+		}
+		if got, want := a.WearVariation(), WearVariationOf(a.Frames(), benchSets, benchWays); got != want {
+			t.Fatalf("step %d: array metrics %+v != explicit %+v", step, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { a.WearVariation() }); allocs != 0 {
+		t.Errorf("Array.WearVariation allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 // benchArray keeps BenchmarkNewArray's result live.
 var benchArray *Array
 

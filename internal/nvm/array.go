@@ -16,6 +16,9 @@ type Array struct {
 	// complementing the intra-frame counter (§II-A lists sets, frames and
 	// bytes as the three wear-leveling dimensions).
 	remap int
+
+	// wv is WearVariation's scratch, sized on its first call.
+	wv wearScratch
 }
 
 // NewArray builds an NVM array of sets x ways frames with per-byte

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -40,17 +41,31 @@ func RowWearInto(dst []float64, frames []*Frame, sets, ways int) []float64 {
 	return dst
 }
 
+// wearScratch is the storage one metric pass needs: the per-row mean
+// wear and the per-frame wear the Gini coefficient sorts. An Array owns
+// one, so its registry snapshots allocate nothing.
+type wearScratch struct {
+	rowMeans, wears []float64
+}
+
 // WearVariationOf computes the metric family over an explicit set-major
 // frame slice (Array.WearVariation is it over the array's own frames).
 // A nil/empty slice or mismatched geometry yields the zero value.
 func WearVariationOf(frames []*Frame, sets, ways int) WearVariation {
+	return wearVariationInto(&wearScratch{}, frames, sets, ways)
+}
+
+// wearVariationInto is WearVariationOf over caller-owned scratch, grown
+// only when its capacity is short.
+func wearVariationInto(sc *wearScratch, frames []*Frame, sets, ways int) WearVariation {
 	var wv WearVariation
 	if len(frames) == 0 || sets < 1 || ways < 1 || sets*ways != len(frames) {
 		return wv
 	}
 	wv.WearMin = math.Inf(1)
 	var rowMeanSum float64
-	rowMeans := make([]float64, sets)
+	sc.rowMeans = slices.Grow(sc.rowMeans[:0], sets)[:sets]
+	rowMeans := sc.rowMeans
 	for s := 0; s < sets; s++ {
 		var sum float64
 		for w := 0; w < ways; w++ {
@@ -88,16 +103,16 @@ func WearVariationOf(frames []*Frame, sets, ways int) WearVariation {
 		intraSum += math.Sqrt(varSum/float64(ways)) / rowMeans[s]
 	}
 	wv.IntraSetCoV = intraSum / float64(sets)
-	wv.Gini = giniOfFrames(frames)
+	sc.wears = slices.Grow(sc.wears[:0], len(frames))[:len(frames)]
+	wv.Gini = giniOfFrames(frames, sc.wears)
 	return wv
 }
 
 // giniOfFrames computes the Gini coefficient of per-frame wear via the
 // sorted-order formula G = (2·Σ i·x_i)/(n·Σ x) − (n+1)/n with 1-based
-// ranks over ascending x.
-func giniOfFrames(frames []*Frame) float64 {
+// ranks over ascending x. xs (length len(frames)) is its scratch.
+func giniOfFrames(frames []*Frame, xs []float64) float64 {
 	n := len(frames)
-	xs := make([]float64, n)
 	var total float64
 	for i, f := range frames {
 		xs[i] = f.Wear()
@@ -114,7 +129,8 @@ func giniOfFrames(frames []*Frame) float64 {
 	return 2*weighted/(float64(n)*total) - float64(n+1)/float64(n)
 }
 
-// WearVariation computes the metric family for the array's own frames.
+// WearVariation computes the metric family for the array's own frames,
+// in the array's scratch: after the first call it allocates nothing.
 func (a *Array) WearVariation() WearVariation {
-	return WearVariationOf(a.frames, a.sets, a.ways)
+	return wearVariationInto(&a.wv, a.frames, a.sets, a.ways)
 }

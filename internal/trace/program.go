@@ -12,12 +12,15 @@ type Program struct {
 	content ContentModel
 }
 
-// ContentModel serves block ownership, versions and contents for a
-// replayed trace. *workload.App satisfies it.
+// ContentModel serves block ownership, versions, contents and compressed
+// sizes for a replayed trace. *workload.App satisfies it.
 type ContentModel interface {
 	Owns(block uint64) bool
 	BumpVersion(block uint64)
 	Content(block uint64) []byte
+	// CompressedSize returns the BDI size of the block's current contents
+	// (memoised per version by *workload.App).
+	CompressedSize(block uint64) int
 	// ContentInto is the allocation-free variant: it writes the contents
 	// into dst when its capacity suffices and returns the (possibly grown)
 	// slice.
@@ -45,6 +48,10 @@ func (p *Program) Content(block uint64) []byte { return p.content.Content(block)
 func (p *Program) ContentInto(dst []byte, block uint64) []byte {
 	return p.content.ContentInto(dst, block)
 }
+
+// CompressedSize forwards the content model's size memo, so the LLC sizes
+// a replayed block without generating its bytes (hybrid.BlockSource).
+func (p *Program) CompressedSize(block uint64) int { return p.content.CompressedSize(block) }
 
 // Err surfaces the replayer's sticky replay error (nil while healthy).
 func (p *Program) Err() error { return p.rep.Err() }

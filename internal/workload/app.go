@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/bdi"
 	"repro/internal/stats"
 )
 
@@ -27,6 +28,13 @@ type App struct {
 	accesses uint64
 	mixes    []PatternMix // phase 0 = base profile, then prof.Phases
 	versions []uint32
+	// sizes memoises the BDI size of each block's current version, one
+	// byte per footprint block: 0 means not yet sized (every BDI size is
+	// at least 1). BumpVersion clears the block's entry.
+	sizes []uint8
+	// buf is the scratch CompressedSize generates a block's bytes into on
+	// a memo miss. Owned by the App.
+	buf [bdi.BlockSize]byte
 }
 
 // NewApp instantiates profile p on an address-space base (block units),
@@ -43,6 +51,7 @@ func NewApp(p Profile, base uint64, seed uint64) (*App, error) {
 		rng:      stats.NewRNG(seed ^ hash64(base)),
 		mixes:    mixes,
 		versions: make([]uint32, p.FootprintBlocks),
+		sizes:    make([]uint8, p.FootprintBlocks),
 	}, nil
 }
 
@@ -138,6 +147,7 @@ func (a *App) BumpVersion(block uint64) {
 		panic(fmt.Sprintf("workload: block %#x not owned by %s", block, a.prof.Name))
 	}
 	a.versions[block-a.base]++
+	a.sizes[block-a.base] = 0
 }
 
 // ClassOf returns the compression class assigned to a block.
@@ -162,6 +172,21 @@ func (a *App) ContentInto(dst []byte, block uint64) []byte {
 	}
 	local := block - a.base
 	return GenContentInto(dst, classOf(&a.prof, a.seed, local), a.seed, local, a.versions[local])
+}
+
+// CompressedSize returns the BDI size of the block's current contents,
+// bdi.SizeOf(a.Content(block)), computing it once per (block, version).
+func (a *App) CompressedSize(block uint64) int {
+	if !a.Owns(block) {
+		panic(fmt.Sprintf("workload: block %#x not owned by %s", block, a.prof.Name))
+	}
+	local := block - a.base
+	if sz := a.sizes[local]; sz != 0 {
+		return int(sz)
+	}
+	sz := bdi.SizeOf(a.ContentInto(a.buf[:], block))
+	a.sizes[local] = uint8(sz)
+	return sz
 }
 
 // SkewChunks is the interleave factor of the zipfian set-pressure

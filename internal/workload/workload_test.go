@@ -413,3 +413,53 @@ func TestBadPhaseValidation(t *testing.T) {
 		t.Error("phases without PhaseLen accepted")
 	}
 }
+
+// TestCompressedSizeMemoMatchesContent is the size memo's differential:
+// for every profile and every content class, across several stores to
+// each block, App.CompressedSize returns bdi.SizeOf(App.Content) whether
+// it computes the size or reads the memo. A Zeros block sizes to 1,
+// which the memo must keep apart from its "unknown" 0.
+func TestCompressedSizeMemoMatchesContent(t *testing.T) {
+	const perClass, versions = 8, 4
+	covered := map[Class]bool{}
+	for name, p := range Profiles() {
+		app, err := NewApp(p, 1<<32, 0x5EED)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var blocks []uint64
+		picked := map[Class]int{}
+		for local := 0; local < p.FootprintBlocks; local++ {
+			b := app.Base() + uint64(local)
+			if c := app.ClassOf(b); picked[c] < perClass {
+				picked[c]++
+				covered[c] = true
+				blocks = append(blocks, b)
+			}
+		}
+		for v := 0; v < versions; v++ {
+			for _, b := range blocks {
+				want := bdi.SizeOf(app.Content(b))
+				for i := 0; i < 2; i++ { // computed, then memoised
+					if got := app.CompressedSize(b); got != want {
+						t.Fatalf("%s block %#x (%v) version %d call %d: CompressedSize %d, SizeOf(Content) %d",
+							name, b, app.ClassOf(b), v, i, got, want)
+					}
+				}
+				if app.ClassOf(b) == ClassZeros && (want != 1 || app.sizes[b-app.Base()] != 1) {
+					t.Fatalf("%s zeros block %#x: size %d, memo %d, want 1 and 1",
+						name, b, want, app.sizes[b-app.Base()])
+				}
+				app.BumpVersion(b)
+				if m := app.sizes[b-app.Base()]; m != 0 {
+					t.Fatalf("%s block %#x: BumpVersion left memo %d", name, b, m)
+				}
+			}
+		}
+	}
+	for _, c := range []Class{ClassZeros, ClassHCR, ClassLCR, ClassIncompressible} {
+		if !covered[c] {
+			t.Errorf("no profile has a block of class %v", c)
+		}
+	}
+}
